@@ -11,8 +11,14 @@
 //!   [`LANES`] independent field elements per iteration in straight-line
 //!   code over plain `u64`s (no `unsafe`, no SIMD intrinsics). The four
 //!   128-bit multiply/reduce chains have no data dependencies, so the CPU
-//!   overlaps them; the multipliers are read once and live in registers for
-//!   the whole pass.
+//!   overlaps them; the coefficients are read once and live in registers
+//!   for the whole pass.
+//! * The degree-3 sign polynomial runs as a fixed-length lane
+//!   ([`SignLane`]) that reduces lazily: the two inner Horner steps only
+//!   fold the 128-bit product to a congruent `u64` (one mask, one shift,
+//!   one add), and the canonicalising [`mod_p61`] runs once, at the last
+//!   step. The headroom argument is on [`SignLane`]; the scalar
+//!   [`FourWiseSign::sign`] evaluates through the same lane.
 //!
 //! Every lane computes the *canonical* residue (`< 2^61 − 1`, exactly what
 //! the scalar paths produce), so batch results are bitwise identical to the
@@ -101,23 +107,60 @@ impl PairwiseHash {
     }
 }
 
-/// One degree-3 Horner lane, fused to a single reduction per step.
-///
-/// The scalar path reduces twice per step (`mul_mod` then a sum reduction);
-/// since `acc`, `xr` and every coefficient are canonical residues,
-/// `acc·xr + c < p² + p` fits a `u128` and one [`mod_p61`] lands on the same
-/// canonical value.
+/// One lazy Horner fold: `x ≡ (x mod 2^61) + ⌊x / 2^61⌋ (mod 2^61 − 1)`,
+/// without the canonicalising subtractions of [`mod_p61`]. The result is
+/// congruent to `x` but may exceed `p`; for `x < 2^125` it fits a `u64`.
 #[inline(always)]
-fn horner3_sign(coeffs: &[u64], xr: u64) -> i64 {
-    debug_assert!(xr < MERSENNE_PRIME_61);
-    let mut acc: u64 = 0;
-    for &c in coeffs.iter().rev() {
-        acc = mod_p61((acc as u128) * (xr as u128) + c as u128);
+fn fold_p61(x: u128) -> u64 {
+    ((x as u64) & MERSENNE_PRIME_61) + (x >> 61) as u64
+}
+
+/// The degree-3 sign polynomial of a [`FourWiseSign`] as a straight-line
+/// lane: the four coefficients sit in locals for a whole pass, and Horner's
+/// rule reduces lazily.
+///
+/// With `xr < 2^61` and canonical coefficients, every intermediate `acc`
+/// stays below `2^64`, so `acc·xr + c < 2^125` fits a `u128` and folds back
+/// to a congruent `u64` (`c3·xr + c2` folds below `2^62`, the next step
+/// below `2^63`). Only the last step calls [`mod_p61`], which is exact on
+/// inputs below `2^125`, so the lane lands on the same canonical residue as
+/// [`crate::PolyHash::hash`] and every sign is unchanged.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SignLane {
+    c0: u64,
+    c1: u64,
+    c2: u64,
+    c3: u64,
+}
+
+impl SignLane {
+    /// The lane of a degree-3 polynomial, constant term first.
+    #[inline]
+    pub(crate) fn new(coeffs: &[u64]) -> Self {
+        debug_assert_eq!(coeffs.len(), 4);
+        Self {
+            c0: coeffs[0],
+            c1: coeffs[1],
+            c2: coeffs[2],
+            c3: coeffs[3],
+        }
     }
-    if fingerprint64(acc) & 1 == 0 {
-        1
-    } else {
-        -1
+
+    /// The `±1` sign of a prereduced input (`xr < 2^61 − 1`).
+    #[inline(always)]
+    pub(crate) fn sign(self, xr: u64) -> i64 {
+        debug_assert!(xr < MERSENNE_PRIME_61);
+        let x = xr as u128;
+        let acc = fold_p61((self.c3 as u128) * x + self.c2 as u128);
+        let acc = fold_p61((acc as u128) * x + self.c1 as u128);
+        let h = mod_p61((acc as u128) * x + self.c0 as u128);
+        // Parity of a mixed output bit: each bit of the fingerprint of a
+        // 4-wise value is 4-wise independent and unbiased.
+        if fingerprint64(h) & 1 == 0 {
+            1
+        } else {
+            -1
+        }
     }
 }
 
@@ -126,34 +169,31 @@ impl FourWiseSign {
     /// [`PairwiseHash::hash_range_batch`]; `out[i]` receives `±1`.
     pub fn signs_batch(&self, xrs: &[u64], out: &mut [i64]) {
         debug_assert!(out.len() >= xrs.len());
-        let coeffs = self.poly().coeffs();
+        let lane = self.lane();
         let mut chunks = xrs.chunks_exact(LANES);
         let mut outs = out.chunks_exact_mut(LANES);
         for (c, o) in (&mut chunks).zip(&mut outs) {
-            o[0] = horner3_sign(coeffs, c[0]);
-            o[1] = horner3_sign(coeffs, c[1]);
-            o[2] = horner3_sign(coeffs, c[2]);
-            o[3] = horner3_sign(coeffs, c[3]);
+            o[0] = lane.sign(c[0]);
+            o[1] = lane.sign(c[1]);
+            o[2] = lane.sign(c[2]);
+            o[3] = lane.sign(c[3]);
         }
         for (&xr, o) in chunks.remainder().iter().zip(outs.into_remainder()) {
-            *o = horner3_sign(coeffs, xr);
+            *o = lane.sign(xr);
         }
     }
 
     /// Sum of [`FourWiseSign::sign`] over prereduced inputs — the AMS
     /// tug-of-war inner loop, with no intermediate buffer.
     pub fn sign_sum_batch(&self, xrs: &[u64]) -> i64 {
-        let coeffs = self.poly().coeffs();
+        let lane = self.lane();
         let mut sum = 0i64;
         let mut chunks = xrs.chunks_exact(LANES);
         for c in &mut chunks {
-            sum += horner3_sign(coeffs, c[0])
-                + horner3_sign(coeffs, c[1])
-                + horner3_sign(coeffs, c[2])
-                + horner3_sign(coeffs, c[3]);
+            sum += lane.sign(c[0]) + lane.sign(c[1]) + lane.sign(c[2]) + lane.sign(c[3]);
         }
         for &xr in chunks.remainder() {
-            sum += horner3_sign(coeffs, xr);
+            sum += lane.sign(xr);
         }
         sum
     }
@@ -209,17 +249,103 @@ mod tests {
         }
     }
 
+    /// `±1` from the parity of a mixed field value, as every sign path does.
+    fn parity_sign(h: u64) -> i64 {
+        if fingerprint64(h) & 1 == 0 {
+            1
+        } else {
+            -1
+        }
+    }
+
     #[test]
     fn signs_batch_matches_scalar() {
         let xs = inputs();
         for seed in 0..8u64 {
             let s = FourWiseSign::new(seed);
+            // The generic Horner evaluator over the same polynomial
+            // (`FourWiseSign::new` draws exactly this one).
+            let poly = crate::PolyHash::new(4, seed);
             let mut xr = Vec::new();
             reduce_inputs(&xs, &mut xr);
             let mut out = vec![0i64; xs.len()];
             s.signs_batch(&xr, &mut out);
             for (&x, &o) in xs.iter().zip(&out) {
                 assert_eq!(o, s.sign(x), "seed {seed} x {x}");
+                assert_eq!(o, parity_sign(poly.hash(x)), "seed {seed} x {x}");
+            }
+        }
+    }
+
+    /// Naive degree-3 Horner with a full `u128 %` at every step.
+    fn naive_sign(coeffs: &[u64; 4], x: u64) -> i64 {
+        let p = MERSENNE_PRIME_61 as u128;
+        let x = x as u128 % p;
+        let mut acc = 0u128;
+        for &c in coeffs.iter().rev() {
+            acc = (acc * x + c as u128) % p;
+        }
+        parity_sign(acc as u64)
+    }
+
+    /// A `FourWiseSign` decoded from hand-built wire bytes: the `Vec<u64>`
+    /// length prefix, then the coefficients, constant term first.
+    fn sign_from_wire(coeffs: &[u64; 4]) -> FourWiseSign {
+        use sss_codec::WireCodec;
+        let mut bytes = (coeffs.len() as u64).to_le_bytes().to_vec();
+        for &c in coeffs {
+            bytes.extend_from_slice(&c.to_le_bytes());
+        }
+        FourWiseSign::decode_slice(&bytes).expect("valid sign polynomial")
+    }
+
+    #[test]
+    fn sign_lane_holds_at_the_field_bounds() {
+        // Coefficients at `p − 1` drive every lazy fold to its largest
+        // intermediate (`acc < 2^64 ⇒ acc·xr + c < 2^125`); mixed 0/1
+        // interior coefficients cover the small end. The leading
+        // coefficient stays nonzero, as the decoder demands.
+        let top = MERSENNE_PRIME_61 - 1;
+        let polys: [[u64; 4]; 6] = [
+            [top, top, top, top],
+            [0, 0, 0, top],
+            [top, 0, 1, top],
+            [1, 1, 0, top],
+            [0, top, top, 1],
+            [top, 1, 0, 1],
+        ];
+        let xs = [
+            0,
+            1,
+            MERSENNE_PRIME_61 - 1,
+            MERSENNE_PRIME_61,
+            MERSENNE_PRIME_61 + 1,
+            u64::MAX,
+            MERSENNE_PRIME_61 - 2,
+            2,
+            1 << 60,
+            u64::MAX - 1,
+            0xDEAD_BEEF,
+        ];
+        for coeffs in &polys {
+            let s = sign_from_wire(coeffs);
+            // Every prefix length, so each lane remainder (0..LANES) runs.
+            for n in 0..=xs.len() {
+                let xs = &xs[..n];
+                let want: Vec<i64> = xs.iter().map(|&x| naive_sign(coeffs, x)).collect();
+                let mut xr = Vec::new();
+                reduce_inputs(xs, &mut xr);
+                let mut out = vec![0i64; n];
+                s.signs_batch(&xr, &mut out);
+                assert_eq!(out, want, "coeffs {coeffs:?} n {n}");
+                assert_eq!(
+                    s.sign_sum_batch(&xr),
+                    want.iter().sum::<i64>(),
+                    "coeffs {coeffs:?} n {n}"
+                );
+                for (&x, &w) in xs.iter().zip(&want) {
+                    assert_eq!(s.sign(x), w, "coeffs {coeffs:?} x {x}");
+                }
             }
         }
     }

@@ -7,7 +7,8 @@
 
 use sss_codec::{CodecError, Reader, WireCodec};
 
-use crate::poly::PolyHash;
+use crate::batch::SignLane;
+use crate::poly::{PairwiseHash, PolyHash};
 
 /// A 4-wise independent function `u64 → {−1, +1}`.
 #[derive(Debug, Clone)]
@@ -23,23 +24,18 @@ impl FourWiseSign {
         }
     }
 
-    /// The degree-3 polynomial behind the sign (for the batch kernels in
-    /// [`crate::batch`]).
+    /// The degree-3 polynomial behind the sign as a straight-line lane —
+    /// the one evaluator shared by [`Self::sign`] and the batch kernels in
+    /// [`crate::batch`].
     #[inline]
-    pub(crate) fn poly(&self) -> &PolyHash {
-        &self.poly
+    pub(crate) fn lane(&self) -> SignLane {
+        SignLane::new(self.poly.coeffs())
     }
 
     /// The sign assigned to `x`, as `±1`.
     #[inline]
     pub fn sign(&self, x: u64) -> i64 {
-        // Parity of a mixed output bit: each bit of the fingerprint of a
-        // 4-wise value is 4-wise independent and unbiased.
-        if crate::mix::fingerprint64(self.poly.hash(x)) & 1 == 0 {
-            1
-        } else {
-            -1
-        }
+        self.lane().sign(PairwiseHash::reduce_input(x))
     }
 }
 

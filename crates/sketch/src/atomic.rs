@@ -402,9 +402,12 @@ impl AtomicCmHeavyHitters {
 
 /// Shared-atomic [`CsHeavyHitters`]. The admission threshold `α·√F̂₂`
 /// is refreshed once per chunk from the live atomic Σc² accumulators
-/// rather than per item: `F₂` only grows on insert-only streams, so a
-/// chunk-stale threshold errs toward admitting — recall-safe — and the
-/// report threshold is re-evaluated on the quiesced sketch.
+/// rather than per item. `F̂₂` is not monotone — a CountSketch row's Σc²
+/// falls whenever a `+1` lands on a counter of the opposite sign — so a
+/// chunk-stale threshold may sit above or below the per-item one, and
+/// admissions can differ from the sequential reporter's either way. What
+/// holds is that the report threshold is re-evaluated on the quiesced
+/// sketch, against every candidate's quiesced estimate.
 #[derive(Debug)]
 pub struct AtomicCsHeavyHitters {
     cs: AtomicCountSketch,

@@ -13,8 +13,10 @@
 //! snapshots and shard forks don't drag dead buffers along).
 
 /// Maximum number of items processed per internal chunk of a batch pass.
-/// Bounds scratch memory to a few KiB per buffer so the index/sign arrays
-/// stay cache-resident while a row is swept.
+/// Bounds every scratch buffer: a chunk-sized buffer of 64-bit values holds
+/// 8 KiB, and a `depth × chunk` one scales with the sketch's depth — at
+/// depth 9, 72 KiB per 64-bit buffer and 144 KiB for the `u128` running
+/// sums of the CountSketch admission kernel.
 pub(crate) const BATCH_CHUNK: usize = 1024;
 
 /// Reusable per-sketch scratch for batch passes. Field use varies by
@@ -29,9 +31,14 @@ pub(crate) struct BatchScratch {
     pub idx: Vec<usize>,
     /// `±1` signs, laid out like `idx`.
     pub signs: Vec<i64>,
-    /// Per-item signed row values, for point-query medians.
+    /// Post-update signed row values, `depth × chunk`, row-major.
     pub vals: Vec<i64>,
-    /// Per-row sum-of-squares snapshot, for `F_2` medians.
+    /// Each row's running sum of squared counters after each item, laid
+    /// out like `vals`.
+    pub prefix: Vec<u128>,
+    /// One item's row values, gathered for a point-query median.
+    pub med: Vec<i64>,
+    /// One item's per-row sums of squares, gathered for an `F_2` median.
     pub sumsq: Vec<u128>,
 }
 

@@ -203,19 +203,35 @@ impl CountSketch {
         }
     }
 
-    /// Batch update (one occurrence per item) that also reports, for each
-    /// item, the post-update point query and `F_2` estimate — exactly
-    /// `update(x, 1)` then `query(x)` / `f2_estimate()`, with the hashing
-    /// batched and the per-item median scratch reused instead of allocated.
-    /// This is the `F_2` heavy-hitter admission kernel.
+    /// Batch update (one occurrence per item) fused with the `F_2`
+    /// heavy-hitter admission rule. `admit(x, est)` runs, in item order,
+    /// for every item whose post-update point query `est` reaches
+    /// `α·√F̂_2`, with both values exactly what `update(x, 1)` then
+    /// `query(x)` / `f2_estimate()` return at that item.
+    ///
+    /// Two passes per chunk. A row-major sweep per row updates the
+    /// counters and records each item's post-update signed value `s·c`
+    /// and the row's running Σc² (exact integers, so each row sees the
+    /// scalar path's state at every item). An item-order pass then
+    /// decides each item against the least and greatest Σc² recorded in
+    /// the chunk, which bound every item's `F̂_2` median:
+    ///
+    /// * an item whose largest row value is below `α·√least` is skipped
+    ///   — its median estimate cannot be larger;
+    /// * an item whose exact median estimate reaches `α·√greatest` is
+    ///   admitted without its `F̂_2` median;
+    /// * the rest get the exact `F̂_2` median and the exact check.
+    ///
+    /// `f64` rounding is monotone, so both screens decide exactly as the
+    /// exact check would. The bounds are taken over every recorded
+    /// position, not the chunk's end, because Σc² is not monotone — a
+    /// `+1` on a counter of the opposite sign lowers it.
     pub(crate) fn update_batch_admit(
         &mut self,
         xs: &[u64],
-        ests: &mut Vec<i64>,
-        f2s: &mut Vec<f64>,
+        alpha: f64,
+        mut admit: impl FnMut(u64, i64),
     ) {
-        ests.clear();
-        f2s.clear();
         let w = self.width;
         let d = self.bucket_hashes.len();
         let Self {
@@ -232,38 +248,63 @@ impl CountSketch {
             idx,
             signs,
             vals,
+            prefix,
+            med,
             sumsq,
         } = scratch;
         for chunk in xs.chunks(BATCH_CHUNK) {
             let len = chunk.len();
             reduce_inputs(chunk, xr);
-            idx.resize(d * len, 0);
-            signs.resize(d * len, 0);
+            idx.resize(len, 0);
+            signs.resize(len, 0);
+            vals.resize(d * len, 0);
+            prefix.resize(d * len, 0);
+            let (mut least, mut most) = (u128::MAX, 0u128);
             for r in 0..d {
-                bucket_hashes[r].hash_range_batch(xr, w, &mut idx[r * len..(r + 1) * len]);
-                sign_hashes[r].signs_batch(xr, &mut signs[r * len..(r + 1) * len]);
-            }
-            // Item-serial: each item's estimate and F2 snapshot must see all
-            // previous items' increments, exactly like the scalar path.
-            for i in 0..len {
-                vals.clear();
-                for r in 0..d {
-                    let s = signs[r * len + i];
-                    let c = &mut counters[r * w + idx[r * len + i]];
-                    let old = *c;
-                    let new = old + s;
+                bucket_hashes[r].hash_range_batch(xr, w, idx);
+                sign_hashes[r].signs_batch(xr, signs);
+                let row = &mut counters[r * w..(r + 1) * w];
+                let row_vals = &mut vals[r * len..(r + 1) * len];
+                let row_prefix = &mut prefix[r * len..(r + 1) * len];
+                let mut sq = row_sumsq[r];
+                for i in 0..len {
+                    let s = signs[i];
+                    let c = &mut row[idx[i]];
+                    let new = *c + s;
                     *c = new;
-                    row_sumsq[r] = (row_sumsq[r] as i128
-                        + ((new as i128) * (new as i128) - (old as i128) * (old as i128)))
-                        as u128;
-                    vals.push(s * new);
+                    // With s = ±1 and v = s·new: new² − old² = 2v − 1.
+                    let v = s * new;
+                    sq = (sq as i128 + (2 * v as i128 - 1)) as u128;
+                    row_vals[i] = v;
+                    row_prefix[i] = sq;
+                    least = least.min(sq);
+                    most = most.max(sq);
                 }
-                ests.push(median_i64(vals));
-                sumsq.clear();
-                sumsq.extend_from_slice(row_sumsq);
-                f2s.push(median_u128_as_f64(sumsq));
+                row_sumsq[r] = sq;
             }
             *total = total.wrapping_add(len as u64);
+            // Every item's F̂₂ lies in [least, most], so its threshold lies
+            // in [skip_below, admit_from].
+            let skip_below = alpha * (least as f64).sqrt();
+            let admit_from = alpha * (most as f64).sqrt();
+            for (i, &x) in chunk.iter().enumerate() {
+                let top = (0..d).map(|r| vals[r * len + i]).max().unwrap_or(i64::MIN);
+                if (top as f64) < skip_below {
+                    continue;
+                }
+                med.clear();
+                med.extend((0..d).map(|r| vals[r * len + i]));
+                let est = median_i64(med);
+                if est as f64 >= admit_from {
+                    admit(x, est);
+                    continue;
+                }
+                sumsq.clear();
+                sumsq.extend((0..d).map(|r| prefix[r * len + i]));
+                if est as f64 >= alpha * median_u128_as_f64(sumsq).sqrt() {
+                    admit(x, est);
+                }
+            }
         }
     }
 
@@ -537,6 +578,53 @@ mod tests {
                 .map(|&c| ((c as i128) * (c as i128)) as u128)
                 .sum();
             assert_eq!(bat.row_sumsq[r], direct, "row {r}");
+        }
+    }
+
+    #[test]
+    fn a_plus_one_update_can_lower_row_sumsq() {
+        // One row, one counter: every item lands on the same cell, so a
+        // `+1` occurrence of an item with the opposite sign walks the
+        // counter back toward zero and Σc² (hence F̂₂) falls.
+        let mut cs = CountSketch::new(1, 1, 31);
+        let s0 = cs.sign_hashes[0].sign(0);
+        let y = (1..64u64)
+            .find(|&y| cs.sign_hashes[0].sign(y) == -s0)
+            .expect("an item with the opposite sign");
+        cs.update(0, 1);
+        cs.update(0, 1);
+        assert_eq!(cs.row_sumsq[0], 4);
+        cs.update(y, 1);
+        assert_eq!(cs.row_sumsq[0], 1);
+        assert!(cs.f2_estimate() < 4.0);
+    }
+
+    #[test]
+    fn admit_kernel_matches_scalar_admissions() {
+        // A tiny grid where Σc² rises and falls within a chunk: the batch
+        // kernel must admit exactly the items the per-item rule admits,
+        // at the same estimates, in the same order.
+        let alpha = 0.6;
+        let stream = skewed_stream(3000, 41);
+        let mut scalar = CountSketch::new(3, 4, 42);
+        let mut want = Vec::new();
+        for &x in &stream {
+            scalar.update(x, 1);
+            let est = scalar.query(x);
+            if est as f64 >= alpha * scalar.f2_estimate().sqrt() {
+                want.push((x, est));
+            }
+        }
+        assert!(!want.is_empty() && want.len() < stream.len());
+        for size in [1usize, 5, 1024, 3000] {
+            let mut bat = CountSketch::new(3, 4, 42);
+            let mut got = Vec::new();
+            for chunk in stream.chunks(size) {
+                bat.update_batch_admit(chunk, alpha, |x, est| got.push((x, est)));
+            }
+            assert_eq!(got, want, "chunk size {size}");
+            assert_eq!(bat.counters, scalar.counters);
+            assert_eq!(bat.row_sumsq, scalar.row_sumsq);
         }
     }
 

@@ -6,9 +6,12 @@
 //! the standard construction tracks candidates online: after updating item
 //! `x`, re-estimate it; if the estimate crosses the current threshold, admit
 //! it to a bounded candidate table. At query time candidates are
-//! re-estimated and filtered against the final threshold. Any item above
-//! the *final* threshold must have crossed every intermediate threshold at
-//! its last arrival (thresholds only grow), so recall is preserved.
+//! re-estimated and filtered against the threshold evaluated on the final
+//! sketch — that much holds exactly, so no report rests on a stale
+//! estimate or threshold. The threshold an admission sees is not monotone
+//! in general: `α·n` only grows, but `α·√F̂_2` does not, because a
+//! CountSketch row's Σc² falls whenever a `+1` lands on a counter of the
+//! opposite sign.
 
 use sss_codec::{put_packed_sorted_u64s, put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{fp_hash_map, FpHashMap};
@@ -362,11 +365,6 @@ pub struct CsHeavyHitters {
     cs: CountSketch,
     tracker: TopKTracker,
     alpha: f64,
-    /// Reusable buffers of post-update estimates and `F_2` snapshots from
-    /// the batched sketch kernel; working memory only (excluded from the
-    /// wire codec).
-    ests: Vec<i64>,
-    f2s: Vec<f64>,
 }
 
 impl CsHeavyHitters {
@@ -380,8 +378,6 @@ impl CsHeavyHitters {
             cs: CountSketch::with_error(eps, delta, seed),
             tracker: TopKTracker::new(cap),
             alpha,
-            ests: Vec::new(),
-            f2s: Vec::new(),
         }
     }
 
@@ -403,13 +399,7 @@ impl CsHeavyHitters {
     /// Reassemble a reporter from raw parts — the atomic variant's
     /// quiesce path.
     pub(crate) fn from_parts(cs: CountSketch, tracker: TopKTracker, alpha: f64) -> Self {
-        Self {
-            cs,
-            tracker,
-            alpha,
-            ests: Vec::new(),
-            f2s: Vec::new(),
-        }
+        Self { cs, tracker, alpha }
     }
 
     /// Stream length ingested.
@@ -437,23 +427,16 @@ impl CsHeavyHitters {
     }
 
     /// Ingest a batch of occurrences — same admissions, bit for bit, as
-    /// the per-item path. The fused sketch kernel batches the hashing and
-    /// reuses a scratch median for the per-item `F_2` threshold (the
-    /// scalar path's per-item clone-and-sort was this reporter's dominant
-    /// cost).
+    /// the per-item path. The fused sketch kernel batches the hashing,
+    /// screens out items that cannot reach the threshold, and hands the
+    /// rest to the coalescer in item order at their per-item estimates.
     pub fn update_batch(&mut self, xs: &[u64]) {
-        let mut ests = std::mem::take(&mut self.ests);
-        let mut f2s = std::mem::take(&mut self.f2s);
-        self.cs.update_batch_admit(xs, &mut ests, &mut f2s);
+        let Self { cs, tracker, alpha } = self;
         let mut pending = OfferCoalescer::new();
-        for ((&x, &est), &f2) in xs.iter().zip(ests.iter()).zip(f2s.iter()) {
-            if est as f64 >= self.alpha * f2.sqrt() {
-                pending.offer(&mut self.tracker, x, est as f64);
-            }
-        }
-        pending.flush(&mut self.tracker);
-        self.ests = ests;
-        self.f2s = f2s;
+        cs.update_batch_admit(xs, *alpha, |x, est| {
+            pending.offer(tracker, x, est as f64);
+        });
+        pending.flush(tracker);
     }
 
     /// Merge another reporter with the same parameters and sketch seed.
@@ -613,13 +596,7 @@ impl WireCodec for CsHeavyHitters {
         let alpha = decode_alpha(r)?;
         let cs = CountSketch::decode(r)?;
         let tracker = TopKTracker::decode(r)?;
-        Ok(CsHeavyHitters {
-            cs,
-            tracker,
-            alpha,
-            ests: Vec::new(),
-            f2s: Vec::new(),
-        })
+        Ok(CsHeavyHitters { cs, tracker, alpha })
     }
 }
 

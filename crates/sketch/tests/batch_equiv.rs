@@ -212,6 +212,22 @@ fn cs_heavy_hitters() {
     );
 }
 
+/// A narrow (~38 × 5), high-α reporter: its threshold `α·√F̂_2` sits
+/// among the row values of ordinary items, so the admission kernel's
+/// screen and its exact check both decide often, unlike the wide grid
+/// above where few items come near the threshold.
+#[test]
+fn cs_heavy_hitters_narrow() {
+    assert_batch_equals_scalar(
+        "CsHeavyHitters(narrow)",
+        mixed,
+        |seed| CsHeavyHitters::new(0.5, 0.4, 0.3, seed),
+        |s, x| s.update(x),
+        |s, xs| s.update_batch(xs),
+        |s| pairs_to_f64(s.report()),
+    );
+}
+
 #[test]
 fn mg_heavy_hitters() {
     assert_batch_equals_scalar(
