@@ -1,22 +1,19 @@
-//! Parallel-ingestion trajectory: shared-atomic `ConcurrentMonitor` vs
-//! replicated `ShardedMonitor` on the grid substrates, across thread
-//! counts, with machine-readable results written to
-//! `BENCH_concurrent.json` at the workspace root.
+//! Parallel-ingestion trajectory: the shared-atomic `ConcurrentMonitor`
+//! on the grid substrates, across thread counts, with machine-readable
+//! results written to `BENCH_concurrent.json` at the workspace root.
 //!
 //! ```text
 //! cargo bench --bench bench_concurrent            # full workload, writes JSON
 //! cargo bench --bench bench_concurrent -- --quick # CI smoke
 //! ```
 //!
-//! Both pipelines race the same prototype — the CountMin (`F_1`) and
-//! CountSketch (`F_2`) heavy-hitter substrates, the two that
-//! `ParallelStrategy::Auto` routes to shared-atomic grids — over the
-//! standard 400k-element Zipf workload. Throughput rows are measured;
-//! the memory rows are structural: the sharded pipeline forks one full
-//! monitor replica per worker (`threads x` the prototype's sketch
-//! bytes), while the shared-atomic grids are a single allocation the
-//! size of the prototype's, whatever the thread count (`AtomicU64`
-//! cells are layout-identical to the plain grids' `u64`s). The
+//! The prototype registers the CountMin (`F_1`) and CountSketch (`F_2`)
+//! heavy-hitter substrates, the two that route to shared-atomic grids,
+//! over the standard 400k-element Zipf workload. Throughput rows are
+//! measured; the memory column is structural: the shared-atomic grids
+//! are a single allocation the size of the prototype's, whatever the
+//! thread count (`AtomicU64` cells are layout-identical to the plain
+//! grids' `u64`s). The
 //! `speedup >= 3x at 8 threads` acceptance gate is enforced only when
 //! the host actually has 8 hardware threads; on smaller boxes the bench
 //! records honest (flat) curves and says so in the JSON.
@@ -24,9 +21,7 @@
 use std::sync::Arc;
 
 use sss_bench::{schema, BenchGroup};
-use sss_core::{
-    ConcurrentConfig, ConcurrentMonitor, Monitor, MonitorBuilder, ShardedConfig, ShardedMonitor,
-};
+use sss_core::{ConcurrentConfig, ConcurrentMonitor, Monitor, MonitorBuilder};
 use sss_stream::{StreamGen, ZipfStream};
 
 const P: f64 = 0.25;
@@ -36,8 +31,7 @@ const SAMPLER_SEED: u64 = 43;
 const DISPATCH_CHUNK: usize = 8192;
 
 /// The grid-substrate prototype: both entries route to shared-atomic
-/// grids under `ParallelStrategy::Auto`, so this isolates the
-/// one-shared-state-vs-N-replicas comparison the bench is about.
+/// grids, so this isolates the cost of many writers on one state.
 fn grid_proto() -> Monitor {
     MonitorBuilder::with_seed(P, 7)
         .f1_heavy_hitters(0.05, 0.2, 0.05)
@@ -54,13 +48,12 @@ fn main() {
     let stream = Arc::new(ZipfStream::new(1 << 16, 1.2).generate(n, 42));
     let proto_bytes = grid_proto().space_bytes();
 
-    // ns/elem is normalised by the *dispatched* stream length: both
-    // pipelines sample internally, so this is end-to-end ingest cost.
+    // ns/elem is normalised by the *dispatched* stream length: the
+    // pipeline samples internally, so this is end-to-end ingest cost.
     let mut g = BenchGroup::new("parallel_ingestion", n);
-    let mut rows: Vec<(usize, f64, f64)> = Vec::new();
+    let mut rows: Vec<(usize, f64)> = Vec::new();
     for &t in thread_counts {
         let conc_label = format!("concurrent_t{t}");
-        let shard_label = format!("sharded_t{t}");
         g.bench(&conc_label, || {
             let mut cfg = ConcurrentConfig::new(t);
             cfg.dispatch_chunk = DISPATCH_CHUNK;
@@ -68,35 +61,23 @@ fn main() {
             cm.ingest_shared(&stream);
             cm.finish().samples_seen()
         });
-        g.bench(&shard_label, || {
-            let mut cfg = ShardedConfig::new(t);
-            cfg.dispatch_chunk = DISPATCH_CHUNK;
-            let mut sm = ShardedMonitor::launch(&grid_proto(), SAMPLER_SEED, cfg);
-            sm.ingest_shared(&stream);
-            sm.finish().samples_seen()
-        });
-        rows.push((t, g.median_of(&conc_label), g.median_of(&shard_label)));
+        rows.push((t, g.median_of(&conc_label)));
     }
 
     let conc_t1 = rows[0].1;
-    println!("\nthreads  concurrent ns/e  sharded ns/e  conc speedup vs t1  sketch bytes (conc / sharded)");
-    for &(t, c, s) in &rows {
-        println!(
-            "{t:>7}  {c:>15.2}  {s:>12.2}  {:>18.2}  {proto_bytes} / {}",
-            conc_t1 / c,
-            proto_bytes * t
-        );
+    println!("\nthreads  concurrent ns/e  speedup vs t1  sketch bytes");
+    for &(t, c) in &rows {
+        println!("{t:>7}  {c:>15.2}  {:>13.2}  {proto_bytes}", conc_t1 / c);
     }
 
     // Acceptance: >= 3x over single-thread at 8 threads — a statement
     // about cores, so only enforceable where 8 cores exist. The memory
     // side needs no cores: shared grids are one prototype-sized
-    // allocation at every thread count, vs the sharded pipeline's
-    // threads x replicas.
+    // allocation at every thread count.
     let speedup_at_8 = rows
         .iter()
-        .find(|&&(t, _, _)| t == 8)
-        .map(|&(_, c, _)| conc_t1 / c);
+        .find(|&&(t, _)| t == 8)
+        .map(|&(_, c)| conc_t1 / c);
     if hw >= 8 {
         let s8 = speedup_at_8.expect("full run benches 8 threads");
         assert!(
@@ -121,22 +102,20 @@ fn main() {
     json.push_str(&format!("  \"hardware_threads\": {hw},\n"));
     json.push_str(&format!(
         "  \"hardware_note\": \"measured on a {hw}-hardware-thread host: thread counts above \
-         {hw} time-slice one core, so the throughput curves are flat by construction and the \
-         3x-at-8-threads target is not enforceable here; the memory column is structural and \
-         host-independent\",\n"
+         {hw} time-slice its cores, so the throughput curves flatten past {hw} threads and the \
+         3x-at-8-threads target is enforced only on hosts with at least 8; the memory column \
+         is structural and host-independent\",\n"
     ));
     json.push_str(&format!(
         "  \"grid_monitor_sketch_bytes\": {proto_bytes},\n"
     ));
     json.push_str("  \"scaling\": [\n");
-    for (i, &(t, c, s)) in rows.iter().enumerate() {
+    for (i, &(t, c)) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"threads\": {t}, \"concurrent_ns_per_elem\": {c:.2}, \
-             \"sharded_ns_per_elem\": {s:.2}, \"concurrent_speedup_vs_t1\": {:.2}, \
-             \"concurrent_sketch_bytes\": {proto_bytes}, \"sharded_sketch_bytes\": {}, \
-             \"memory_ratio_sharded_over_concurrent\": {t}}}{}\n",
+             \"concurrent_speedup_vs_t1\": {:.2}, \
+             \"concurrent_sketch_bytes\": {proto_bytes}}}{}\n",
             conc_t1 / c,
-            proto_bytes * t,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }

@@ -34,8 +34,10 @@ pub mod schema {
     pub const INGEST: u32 = 1;
     /// `BENCH_obs.json` (written by `bench_obs`).
     pub const OBS: u32 = 1;
-    /// `BENCH_concurrent.json` (written by `bench_concurrent`).
-    pub const CONCURRENT: u32 = 1;
+    /// `BENCH_concurrent.json` (written by `bench_concurrent`). v2
+    /// drops the replicated-monitor comparison arm and its memory
+    /// columns: the concurrent pipeline is the only one measured.
+    pub const CONCURRENT: u32 = 2;
 }
 
 pub use stats::{mean, quantile, std_dev, Summary};

@@ -1,14 +1,16 @@
 //! Lock-free multi-threaded ingestion into **one** shared sketch state.
 //!
-//! [`crate::sharded::ShardedMonitor`] scales cores by replicating the
-//! whole monitor per worker and folding through the merge algebra —
-//! correct for everything, but sketch memory grows N× with thread count
-//! and `finish()` pays N merges. A [`ConcurrentMonitor`] takes the other
-//! route wherever the substrate allows it: the fixed-geometry counter
-//! grids (CountMin, CountSketch, AMS tug-of-war) become the
-//! shared-atomic variants of [`sss_sketch::atomic`], and every worker
-//! thread ingests into the *same* cells with relaxed `fetch_add`s. One
-//! grid, regardless of thread count.
+//! The paper's summaries merge, so the raw stream can be partitioned
+//! across worker threads — each Bernoulli-sampling its own slice with an
+//! independent seed — and the parts combined into one answer for the
+//! whole stream (the Gibbons–Tirthapura distributed-counting model run
+//! across threads instead of sites). A [`ConcurrentMonitor`] does this
+//! without replicating the monitor per worker wherever the substrate
+//! allows it: the fixed-geometry counter grids (CountMin, CountSketch,
+//! AMS tug-of-war) become the shared-atomic variants of
+//! [`sss_sketch::atomic`], and every worker thread ingests into the
+//! *same* cells with relaxed `fetch_add`s. One grid, regardless of
+//! thread count.
 //!
 //! Not every estimator is a commutative counter grid, so each registered
 //! slot is routed to the cheapest strategy that preserves its answer:
@@ -17,7 +19,13 @@
 //! |---|---|---|
 //! | shared-atomic | `F_1`/`F_2` heavy hitters, Rusu–Dobra `F_2` | cell-wise integer adds commute; any interleaving quiesces to the sequential grid bit for bit |
 //! | key-sharded | `F_0`, `F_k` (exact and sketched), naive baselines | items are partitioned by key hash, so each part owns a disjoint sub-multiset and the existing merge is exact (disjoint maps, bottom-k union, linear sketches) |
-//! | replicated | entropy, adaptive, unknown slots | entropy is *not* key-shardable (`H = Σ wᵢHᵢ + H(w)` loses the cross-partition term); thread-local replicas merge exactly like `ShardedMonitor` shards |
+//! | replicated | entropy, adaptive, unknown slots | entropy is *not* key-shardable (`H = Σ wᵢHᵢ + H(w)` loses the cross-partition term); thread-local replicas merge through the estimator's own merge |
+//!
+//! **Dispatch.** Raw chunks go to the workers round-robin over bounded
+//! queues (depth 4): a full queue blocks `ingest` instead of buffering
+//! unboundedly. Round-robin keeps worker loads *and distributions*
+//! aligned, which is what makes the length-weighted entropy merge of
+//! the replicated slots consistent.
 //!
 //! **Quiesce-then-snapshot.** The shared state is only convertible after
 //! every writer thread is joined: [`ConcurrentMonitor::finish`] drops
@@ -25,17 +33,20 @@
 //! final relaxed loads well-defined), converts each shared-atomic grid
 //! back to its plain estimator, merges the key-sharded parts and
 //! replicated locals, and returns an ordinary [`Monitor`] — codec,
-//! delta, transport and window layers work on it unchanged.
+//! delta, transport and window layers work on it unchanged. There is no
+//! mid-run view: a site that pushes periodically merges each quiesced
+//! run into its cumulative `Monitor` and pushes that.
 //!
 //! **Seeding.** Shared-atomic and key-sharded slots keep the prototype's
 //! hash seeds (the grids *are* the prototype's grids; key-shard parts
 //! must agree with each other to merge). Replicated slots follow
 //! [`Monitor::fork_shard`]'s seed schedule exactly — worker `i` derives
 //! per-entry seeds from `SplitMix64::new(split_seed(builder_seed, i))`
-//! in registration order — so a `Replicated`-forced run is
-//! distributionally identical to a `ShardedMonitor` over the same
-//! worker partition.
+//! in registration order — and worker `i` samples with
+//! `split_seed(sampler_seed, i)`, so a one-worker run is bitwise the
+//! single-threaded `fork_shard(0)` run.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -50,40 +61,20 @@ use sss_stream::{BernoulliSampler, Item};
 use crate::baselines::RusuDobraF2;
 use crate::heavy_hitters::{SampledF1HeavyHitters, SampledF2HeavyHitters};
 use crate::monitor::{DynEstimator, Monitor};
-use crate::sharded::Job;
 
-/// How a [`ConcurrentMonitor`] maps estimator slots onto threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelStrategy {
-    /// Per-slot routing (the table in the module docs): shared-atomic
-    /// where the merge algebra is cell-wise addition, key-sharded where
-    /// a key partition merges exactly, replicated otherwise.
-    #[default]
-    Auto,
-    /// Like `Auto` — named for configs that want to state the intent
-    /// explicitly; reserved as the anchor if `Auto` ever learns to
-    /// measure and adapt.
-    SharedAtomic,
-    /// Force every slot onto thread-local replicas (the
-    /// `ShardedMonitor` memory/merge profile, without its dispatch
-    /// layer) — the control arm for benchmarks and equivalence tests.
-    Replicated,
-}
+/// Bounded depth of each worker's chunk queue (backpressure).
+const QUEUE_DEPTH: usize = 4;
+/// Batch size of the worker-side sampled feed: amortises the per-batch
+/// slot dispatch without growing the survivor buffer past L1.
+const SAMPLE_BATCH: usize = 4096;
 
-/// Tuning knobs for a [`ConcurrentMonitor`]; mirrors
-/// [`crate::sharded::ShardedConfig`] where the knobs coincide.
+/// Tuning knobs for a [`ConcurrentMonitor`].
 #[derive(Debug, Clone)]
 pub struct ConcurrentConfig {
     /// Number of ingest threads (≥ 1).
     pub threads: usize,
-    /// Bounded depth of each thread's chunk queue (backpressure).
-    pub queue_depth: usize,
     /// Raw elements per dispatched chunk for unchunked slices.
     pub dispatch_chunk: usize,
-    /// Batch size of the worker-side sampled feed.
-    pub sample_batch: usize,
-    /// Slot-to-thread mapping policy.
-    pub strategy: ParallelStrategy,
 }
 
 impl ConcurrentConfig {
@@ -92,10 +83,23 @@ impl ConcurrentConfig {
         assert!(threads >= 1, "need at least one ingest thread");
         Self {
             threads,
-            queue_depth: 4,
             dispatch_chunk: 1 << 16,
-            sample_batch: 4096,
-            strategy: ParallelStrategy::Auto,
+        }
+    }
+}
+
+/// A chunk of the raw stream travelling to a worker: either owned, or a
+/// zero-copy range of a shared buffer.
+enum Job {
+    Owned(Vec<Item>),
+    Shared(Arc<Vec<Item>>, Range<usize>),
+}
+
+impl Job {
+    fn as_slice(&self) -> &[Item] {
+        match self {
+            Job::Owned(v) => v,
+            Job::Shared(data, r) => &data[r.clone()],
         }
     }
 }
@@ -143,10 +147,7 @@ struct Shared {
 }
 
 /// Route one prototype slot to its ingestion strategy.
-fn route_slot(est: &dyn DynEstimator, strategy: ParallelStrategy, parts: usize) -> SlotState {
-    if strategy == ParallelStrategy::Replicated {
-        return SlotState::Replicated;
-    }
+fn route_slot(est: &dyn DynEstimator, parts: usize) -> SlotState {
     match est.wire_tag() {
         HH_F1 => {
             let hh = est
@@ -155,7 +156,7 @@ fn route_slot(est: &dyn DynEstimator, strategy: ParallelStrategy, parts: usize) 
                 .expect("HH_F1 tag on a non-F1 slot");
             // A conservative-update CountMin cannot go shared-atomic
             // (order-dependent) *or* merge; replicate and let the merge
-            // report the incompatibility, as ShardedMonitor would.
+            // report the incompatibility.
             match AtomicCmHeavyHitters::from_plain(hh.inner()) {
                 Some(atomic) => SlotState::Cm(atomic),
                 None => SlotState::Replicated,
@@ -209,9 +210,8 @@ pub struct ConcurrentMonitor {
     txs: Vec<SyncSender<Job>>,
     handles: Vec<JoinHandle<WorkerLocals>>,
     shared: Arc<Shared>,
-    dispatched: Arc<AtomicU64>,
     prototype: Monitor,
-    cfg: ConcurrentConfig,
+    dispatch_chunk: usize,
     next_worker: usize,
 }
 
@@ -231,15 +231,14 @@ impl ConcurrentMonitor {
             slots: prototype
                 .entries()
                 .iter()
-                .map(|e| route_slot(e.est.as_ref(), cfg.strategy, cfg.threads))
+                .map(|e| route_slot(e.est.as_ref(), cfg.threads))
                 .collect(),
             samples: AtomicU64::new(0),
         });
-        let dispatched = Arc::new(AtomicU64::new(0));
         let mut txs = Vec::with_capacity(cfg.threads);
         let mut handles = Vec::with_capacity(cfg.threads);
         for i in 0..cfg.threads {
-            let (tx, rx) = sync_channel::<Job>(cfg.queue_depth);
+            let (tx, rx) = sync_channel::<Job>(QUEUE_DEPTH);
             // Replicated slots follow fork_shard's schedule: one derived
             // seed per entry in registration order (all slots advance
             // the schedule so alignment is seed-for-seed, only the
@@ -262,10 +261,10 @@ impl ConcurrentMonitor {
                 .collect();
             let sampler = BernoulliSampler::new(prototype.p(), split_seed(sampler_seed, i as u64));
             let state = Arc::clone(&shared);
-            let cfg_w = cfg.clone();
+            let parts = cfg.threads;
             let handle = std::thread::Builder::new()
                 .name(format!("sss-conc-{i}"))
-                .spawn(move || worker_loop(i, locals, sampler, rx, &state, &cfg_w))
+                .spawn(move || worker_loop(i, locals, sampler, rx, &state, parts))
                 .expect("spawn concurrent worker");
             txs.push(tx);
             handles.push(handle);
@@ -274,16 +273,10 @@ impl ConcurrentMonitor {
             txs,
             handles,
             shared,
-            dispatched,
             prototype: prototype.clone(),
-            cfg,
+            dispatch_chunk: cfg.dispatch_chunk.max(1),
             next_worker: 0,
         }
-    }
-
-    /// Number of ingest threads.
-    pub fn threads(&self) -> usize {
-        self.cfg.threads
     }
 
     /// The sampling rate every worker applies.
@@ -291,49 +284,31 @@ impl ConcurrentMonitor {
         self.prototype.p()
     }
 
-    /// Raw (pre-sampling) elements dispatched to workers so far.
-    pub fn raw_dispatched(&self) -> u64 {
-        self.dispatched.load(Ordering::Relaxed)
-    }
-
-    /// Sampled elements ingested into the shared state so far (racy
-    /// snapshot; trails dispatch by the in-flight queues).
-    pub fn samples_ingested(&self) -> u64 {
-        self.shared.samples.load(Ordering::Relaxed)
-    }
-
     fn send(&mut self, job: Job) {
-        let n = job.as_slice().len() as u64;
         let worker = self.next_worker;
         self.next_worker = (self.next_worker + 1) % self.txs.len();
         self.txs[worker]
             .send(job)
             .expect("concurrent worker exited early (panicked?)");
-        self.dispatched.fetch_add(n, Ordering::Relaxed);
         let obs = sss_obs::global();
         obs.inc(MetricId::ShardedJobsDispatchedTotal);
+        // Depth = dispatched − completed: `sync_channel` exposes no
+        // len, so occupancy is tracked from both ends of the queue.
         obs.gauge_add(MetricId::ShardedQueueDepth, 1);
     }
 
     /// Feed a slice of the **raw** stream (copied into
     /// `dispatch_chunk`-sized jobs; blocks on full queues).
     pub fn ingest(&mut self, raw: &[Item]) {
-        for chunk in raw.chunks(self.cfg.dispatch_chunk.max(1)) {
+        for chunk in raw.chunks(self.dispatch_chunk) {
             self.send(Job::Owned(chunk.to_vec()));
-        }
-    }
-
-    /// Feed an owned buffer as one job, no re-chunking.
-    pub fn ingest_vec(&mut self, raw: Vec<Item>) {
-        if !raw.is_empty() {
-            self.send(Job::Owned(raw));
         }
     }
 
     /// Feed a shared buffer zero-copy (workers borrow ranges).
     pub fn ingest_shared(&mut self, data: &Arc<Vec<Item>>) {
         let len = data.len();
-        let step = self.cfg.dispatch_chunk.max(1);
+        let step = self.dispatch_chunk;
         let mut lo = 0usize;
         while lo < len {
             let hi = (lo + step).min(len);
@@ -432,16 +407,15 @@ fn worker_loop(
     mut sampler: BernoulliSampler,
     rx: Receiver<Job>,
     shared: &Shared,
-    cfg: &ConcurrentConfig,
+    parts: usize,
 ) -> WorkerLocals {
     let mut scratch = AtomicScratch::new();
     // Per-part grouping buffers for key-sharded slots, reused across
     // batches (one lock per non-empty part per batch, not per item).
-    let parts = cfg.threads;
     let mut buckets: Vec<Vec<u64>> = (0..parts).map(|_| Vec::new()).collect();
     while let Ok(job) = rx.recv() {
         let mut items = 0u64;
-        sampler.sample_batches(job.as_slice(), cfg.sample_batch, |batch| {
+        sampler.sample_batches(job.as_slice(), SAMPLE_BATCH, |batch| {
             items += batch.len() as u64;
             let mut grouped = false;
             for (i, slot) in shared.slots.iter().enumerate() {
@@ -512,8 +486,7 @@ mod tests {
 
     /// Shared-atomic grids keep the prototype's seeds, so at p = 1 and
     /// any thread count the quiesced monitor's grid substrates must
-    /// match a sequential monitor bit for bit — stronger than the
-    /// sharded pipeline, whose forks reseed shard-local randomness.
+    /// match a sequential monitor bit for bit.
     #[test]
     fn grid_substrates_quiesce_bitwise_at_p_one() {
         let stream = Arc::new(ZipfStream::new(2_000, 1.2).generate(50_000, 3));
@@ -542,16 +515,23 @@ mod tests {
         }
     }
 
+    /// The copying path (`ingest`) and the zero-copy path
+    /// (`ingest_shared`) dispatch the same chunks, so at p = 1 they see
+    /// the same multiset and the exact F0 merge agrees bit for bit.
     #[test]
-    fn replicated_strategy_matches_auto_totals() {
-        let stream = Arc::new(ZipfStream::new(1_000, 1.1).generate(30_000, 5));
-        let mut cfg = ConcurrentConfig::new(2);
-        cfg.strategy = ParallelStrategy::Replicated;
-        let mut cm = ConcurrentMonitor::launch(&proto(1.0), 9, cfg);
-        cm.ingest_shared(&stream);
-        let merged = cm.finish();
-        assert_eq!(merged.samples_seen(), stream.len() as u64);
-        assert!(merged.estimate(Statistic::F0).is_some());
+    fn owned_and_copied_ingest_paths_agree() {
+        let stream = ZipfStream::new(300, 1.0).generate(20_000, 6);
+        let mut a = ConcurrentMonitor::launch(&proto(1.0), 5, ConcurrentConfig::new(2));
+        a.ingest(&stream);
+        let ma = a.finish();
+        let mut b = ConcurrentMonitor::launch(&proto(1.0), 5, ConcurrentConfig::new(2));
+        b.ingest_shared(&Arc::new(stream));
+        let mb = b.finish();
+        assert_eq!(ma.samples_seen(), mb.samples_seen());
+        assert_eq!(
+            ma.estimate(Statistic::F0).unwrap().value.to_bits(),
+            mb.estimate(Statistic::F0).unwrap().value.to_bits(),
+        );
     }
 
     #[test]
@@ -566,5 +546,13 @@ mod tests {
     #[should_panic(expected = "at least one ingest thread")]
     fn zero_threads_rejected() {
         let _ = ConcurrentConfig::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one ingest thread")]
+    fn mutated_zero_thread_config_rejected_at_launch() {
+        let mut cfg = ConcurrentConfig::new(1);
+        cfg.threads = 0;
+        let _ = ConcurrentMonitor::launch(&proto(0.5), 1, cfg);
     }
 }

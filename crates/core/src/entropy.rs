@@ -79,7 +79,7 @@ impl SampledEntropyEstimator {
     /// the suffix-count reservoir is not mergeable, and the weighted
     /// average is the entropy of the *mixture* of the shard distributions
     /// minus their Jensen–Shannon divergence. When shards carry slices of
-    /// the same traffic mix (the sharded-monitor deployment) the
+    /// the same traffic mix (`ConcurrentMonitor`'s round-robin workers) the
     /// divergence term vanishes and the merge is consistent; adversarially
     /// disjoint shards can lose up to `lg(#shards)` bits — still inside
     /// Theorem 5's constant-factor contract whenever `H(f)` is above its

@@ -60,13 +60,12 @@ pub mod heavy_hitters;
 pub mod monitor;
 pub mod numeric;
 pub mod params;
-pub mod sharded;
 pub mod stirling;
 
 pub use adaptive::{AdaptiveF2Estimator, TargetCollisionsPolicy};
 pub use baselines::{NaiveScaledF0, NaiveScaledFk, RusuDobraF2};
 pub use collisions::{CollisionOracle, ExactCollisions, LevelSetCollisions};
-pub use concurrent::{ConcurrentConfig, ConcurrentMonitor, ParallelStrategy};
+pub use concurrent::{ConcurrentConfig, ConcurrentMonitor};
 pub use delta::{apply_snapshot_delta, snapshot_delta, SnapshotDelta};
 pub use entropy::SampledEntropyEstimator;
 pub use estimate::{
@@ -83,4 +82,3 @@ pub use heavy_hitters::{
 };
 pub use monitor::{Monitor, MonitorBuilder};
 pub use params::ApproxParams;
-pub use sharded::{ShardedConfig, ShardedMonitor};

@@ -32,8 +32,8 @@
 //! into one answering for the union of all traffic
 //! (`examples/distributed_collector.rs`). [`Monitor::try_merge`] is the
 //! fallible variant for summaries arriving from outside the process, and
-//! [`Monitor::fork_shard`] derives per-worker clones for the
-//! multi-threaded pipeline in [`crate::sharded`] (see
+//! [`Monitor::fork_shard`] derives the per-worker seed schedule the
+//! multi-threaded pipeline in [`crate::concurrent`] follows (see
 //! `crates/core/src/README.md` for the architecture and the
 //! seed-splitting contract).
 
@@ -54,10 +54,9 @@ use crate::params::ApproxParams;
 /// Object-safe adapter over [`SubsampledEstimator`] so a [`Monitor`] can
 /// hold heterogeneous estimators. `merge` is recovered through `Any`
 /// downcasting (both sides must be the same concrete type).
-/// `Send + Sync + Clone` are required so monitors can be forked onto
-/// worker threads
-/// ([`crate::sharded::ShardedMonitor`]) and shared read-only by a
-/// collector server (`sss-transport`); `WireCodec` so monitors can be
+/// `Send + Sync + Clone` are required so slots can be cloned onto
+/// worker threads ([`crate::concurrent::ConcurrentMonitor`]) and shared
+/// read-only by a collector server (`sss-transport`); `WireCodec` so monitors can be
 /// checkpointed and shipped ([`Monitor::checkpoint`]). Every estimator
 /// in the tree is plain data (no interior mutability), so the `Sync`
 /// bound costs nothing.
@@ -509,7 +508,7 @@ impl Monitor {
         Ok(())
     }
 
-    /// A shard clone for worker `shard` of a sharded deployment: identical
+    /// A shard clone for worker `shard` of a multi-worker deployment: identical
     /// estimator configuration (labels, parameters and — crucially — the
     /// hash seeds that make sketch merges valid), with **shard-local**
     /// randomness re-seeded from `split_seed(builder seed, shard)` so

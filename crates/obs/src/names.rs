@@ -10,7 +10,9 @@
 //!
 //! Naming: `sss_<subsystem>_<what>[_<unit>][_total]` where subsystem is
 //! one of `ingest`, `sampler`, `sharded`, `codec`, `transport`,
-//! `window`, `obs`. Durations are `_nanos`, sizes `_bytes`, event-time
+//! `window`, `obs`. (`sharded` names the ingest-worker dispatch of
+//! `ConcurrentMonitor`; the name predates it and stays because
+//! dashboards scrape it and `0x07xx` snapshots carry it.) Durations are `_nanos`, sizes `_bytes`, event-time
 //! offsets `_ms`. Histograms carry no suffix convention — the kind
 //! column says what they are.
 
@@ -74,7 +76,7 @@ macro_rules! metric_table {
 }
 
 metric_table! {
-    // ── ingest: Monitor / ShardedMonitor update paths ────────────
+    // ── ingest: Monitor / ConcurrentMonitor update paths ─────────
     IngestItemsTotal => Counter "sss_ingest_items_total": "Sampled items ingested by Monitor update paths (scalar items flush every 1024)";
     IngestBatchesTotal => Counter "sss_ingest_batches_total": "Monitor::update_batch calls across all monitors";
     IngestBatchSize => Histogram "sss_ingest_batch_size": "Distribution of update_batch lengths in items";
@@ -86,11 +88,11 @@ metric_table! {
     // ── sampler: Bernoulli sub-sampling front end ────────────────
     SamplerRawItemsTotal => Counter "sss_sampler_raw_items_total": "Raw stream items offered to Bernoulli samplers";
     SamplerSurvivorsTotal => Counter "sss_sampler_survivors_total": "Items surviving sub-sampling";
-    // ── sharded: multi-threaded dispatch ─────────────────────────
-    ShardedJobsDispatchedTotal => Counter "sss_sharded_jobs_dispatched_total": "Raw-stream jobs handed to shard worker queues";
-    ShardedJobsCompletedTotal => Counter "sss_sharded_jobs_completed_total": "Jobs fully ingested by shard workers";
-    ShardedQueueDepth => Gauge "sss_sharded_queue_depth": "Jobs in flight across all shard queues (dispatched minus completed)";
-    ShardedMergesTotal => Counter "sss_sharded_merges_total": "Shard monitor merges folded into snapshots";
+    // ── sharded: ingest-worker dispatch (ConcurrentMonitor) ─────
+    ShardedJobsDispatchedTotal => Counter "sss_sharded_jobs_dispatched_total": "Raw-stream jobs handed to ingest worker queues";
+    ShardedJobsCompletedTotal => Counter "sss_sharded_jobs_completed_total": "Jobs fully ingested by ingest workers";
+    ShardedQueueDepth => Gauge "sss_sharded_queue_depth": "Jobs in flight across all ingest worker queues (dispatched minus completed)";
+    ShardedMergesTotal => Counter "sss_sharded_merges_total": "Ingest worker parts and replicas merged at quiesce";
     // ── codec: encode/decode instrumented at call sites ──────────
     CodecEncodeBytesTotal => Counter "sss_codec_encode_bytes_total": "Bytes produced by checkpoint encodes";
     CodecEncodeNanos => Histogram "sss_codec_encode_nanos": "Checkpoint encode latency in nanoseconds";

@@ -1,8 +1,8 @@
 //! Shared-atomic variants of the fixed-geometry grid substrates.
 //!
-//! `ShardedMonitor` scales cores by *replicating* sketch state per
-//! worker and folding through the merge algebra — memory grows N× with
-//! thread count. The types here take the other route (Confluo's
+//! Replicating sketch state per ingest worker and folding through the
+//! merge algebra grows memory N× with thread count. The types here
+//! back `sss_core::ConcurrentMonitor` instead (Confluo's
 //! `substream_summary` shape): one shared counter grid whose cells many
 //! ingest threads update concurrently with relaxed atomic adds. This is
 //! sound for exactly the substrates whose merge is cell-wise integer

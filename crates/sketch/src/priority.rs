@@ -1,6 +1,6 @@
 //! Priority sampling (Duffield, Lund & Thorup, JACM 2007) — the
 //! variance-optimal weighted sampling scheme the paper's related work
-//! highlights (§1.3, [19]; Szegedy's optimality result [35]).
+//! highlights (§1.3, \[19\]; Szegedy's optimality result \[35\]).
 //!
 //! Each weighted item `(i, w_i)` draws `u_i` uniform in `(0, 1]` and gets
 //! priority `q_i = w_i/u_i`. A priority sample of size `k` keeps the `k`

@@ -15,7 +15,7 @@
 //! the router-scenario examples and for contrasting the two models.
 
 use sss_codec::{CodecError, Reader, WireCodec};
-use sss_hash::{split_seed, RngCore64, Xoshiro256pp};
+use sss_hash::{RngCore64, Xoshiro256pp};
 
 use crate::types::Item;
 
@@ -63,14 +63,6 @@ impl BernoulliSampler {
     #[inline]
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// A fresh sampler for shard `lane`, seeded with
-    /// `split_seed(self.seed, lane)`: same rate, statistically independent
-    /// survival decisions. Shard pipelines call this once per worker so
-    /// the shards jointly realise `N` independent Bernoulli processes.
-    pub fn fork(&self, lane: u64) -> BernoulliSampler {
-        BernoulliSampler::new(self.p, split_seed(self.seed, lane))
     }
 
     /// Per-element coin flip: does the next element of `P` survive into `L`?
@@ -375,22 +367,6 @@ mod tests {
         }
         let rate = hits as f64 / trials as f64;
         assert!((rate - p).abs() < 0.02, "rate = {rate}");
-    }
-
-    #[test]
-    fn forked_samplers_are_independent_and_deterministic() {
-        let data: Vec<Item> = (0..30_000u64).collect();
-        let base = BernoulliSampler::new(0.2, 9);
-        let a1 = base.fork(0).sample_to_vec(&data);
-        let a2 = base.fork(0).sample_to_vec(&data);
-        let b = base.fork(1).sample_to_vec(&data);
-        assert_eq!(a1, a2, "fork is deterministic per lane");
-        assert_ne!(a1, b, "different lanes sample differently");
-        assert_eq!(base.fork(3).seed(), sss_hash::split_seed(9, 3));
-        // The fork must not depend on (or advance) the parent's RNG state.
-        let mut advanced = BernoulliSampler::new(0.2, 9);
-        let _ = advanced.sample_to_vec(&data);
-        assert_eq!(advanced.fork(1).sample_to_vec(&data), b);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! [`SiteClient`]: the sending end of the snapshot transport.
 //!
-//! A site wraps its local [`Monitor`] (or the trailing view of a
-//! `ShardedMonitor`) in a client and pushes `checkpoint()` snapshots at
-//! whatever cadence it likes. The client owns delivery: sequence
+//! A site wraps its local [`Monitor`] (or the quiesced result of a
+//! multi-threaded `ConcurrentMonitor` run) in a client and pushes
+//! `checkpoint()` snapshots at whatever cadence it likes. The client owns delivery: sequence
 //! numbers, the hello handshake on every (re)connect, bounded retry
 //! with exponential backoff, and the resume rule that makes retries
 //! safe — a push that died before its ack is re-sent *with the same
@@ -212,7 +212,7 @@ impl SiteClient {
     }
 
     /// Push one already-framed snapshot buffer (e.g. from
-    /// `ShardedMonitor::snapshot_wire`). Blocks until the collector
+    /// [`Monitor::checkpoint`]). Blocks until the collector
     /// acks, retrying through disconnects with the same sequence number
     /// so delivery is exactly-once from the collector's point of view.
     ///

@@ -462,13 +462,13 @@ impl WindowedMonitor {
                 .sum::<usize>()
     }
 
-    /// A per-shard windowed monitor for worker `shard` of a sharded
+    /// A per-site windowed monitor for site `shard` of a multi-site
     /// deployment: the prototype forks under `split_seed` (so bucket
-    /// sketches across shards stay merge-compatible while shard-local
+    /// sketches across sites stay merge-compatible while site-local
     /// randomness diverges), the window shape and clock carry over.
-    /// Continuous queries do **not** fork — a shard sees only its
+    /// Continuous queries do **not** fork — a site sees only its
     /// slice of the traffic, so query evaluation belongs to the
-    /// coordinator's merged window.
+    /// collector's merged window.
     ///
     /// # Panics
     /// If this window has already ingested — forked state would
@@ -492,18 +492,18 @@ impl WindowedMonitor {
         }
     }
 
-    /// Merge a shard's window that observed a disjoint slice of the
+    /// Merge another site's window that observed a disjoint slice of the
     /// same timeline: buckets pair up **by epoch** and merge through
     /// `Monitor::try_merge`; epochs only one side materialised copy
     /// over. Validation happens before any mutation, so an `Err`
     /// leaves `self` untouched. Both clocks must agree (align with
     /// [`WindowedMonitor::advance_to`] first) — that is the epoch
-    /// contract that keeps coordinator folds bitwise-deterministic:
+    /// contract that keeps collector folds bitwise-deterministic:
     /// retirement boundaries come from shared event time, never from
-    /// per-shard item counts.
+    /// per-site item counts.
     ///
     /// `other`'s queries and pending alerts are ignored: the query
-    /// surface lives on the coordinator.
+    /// surface lives on the collector.
     pub fn try_merge(&mut self, other: &WindowedMonitor) -> Result<(), WindowMergeError> {
         if self.cfg != other.cfg {
             return Err(WindowMergeError::ConfigMismatch {

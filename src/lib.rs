@@ -46,7 +46,7 @@
 //!
 //! Monitors (and every sketch and estimator underneath them) also
 //! **serialize**: [`codec::WireCodec`] gives each one a versioned binary
-//! wire format, so shard snapshots cross process boundaries as bytes
+//! wire format, so site snapshots cross process boundaries as bytes
 //! ([`Monitor::checkpoint`](core::Monitor::checkpoint) /
 //! [`Monitor::restore`](core::Monitor::restore)) — the real distributed
 //! deployment, plus crash recovery for long-running monitors.
@@ -101,13 +101,11 @@ pub use sss_transport as transport;
 pub use sss_window as window;
 
 pub use sss_core::{
-    Estimate, Guarantee, MergeError, Monitor, MonitorBuilder, ShardedConfig, ShardedMonitor,
-    Statistic, SubsampledEstimator,
+    Estimate, Guarantee, MergeError, Monitor, MonitorBuilder, Statistic, SubsampledEstimator,
 };
 pub use sss_transport::{
     ClientConfig, CollectorServer, ServerConfig, SiteClient, TransportError, TransportStats,
 };
 pub use sss_window::{
-    Alert, AlertKind, DecayedMonitor, QueryKind, QuerySpec, ShardedWindowedMonitor, WindowConfig,
-    WindowedMonitor,
+    Alert, AlertKind, DecayedMonitor, QueryKind, QuerySpec, WindowConfig, WindowedMonitor,
 };

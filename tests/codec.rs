@@ -10,9 +10,9 @@
 
 use subsampled_streams::codec::{CodecError, WireCodec, WIRE_VERSION};
 use subsampled_streams::core::{
-    AdaptiveF2Estimator, Estimate, Monitor, MonitorBuilder, NaiveScaledF0, NaiveScaledFk,
-    RusuDobraF2, SampledEntropyEstimator, SampledF0Estimator, SampledF1HeavyHitters,
-    SampledF2HeavyHitters, SampledFkEstimator, ShardedConfig, ShardedMonitor, SubsampledEstimator,
+    AdaptiveF2Estimator, ConcurrentConfig, ConcurrentMonitor, Estimate, Monitor, MonitorBuilder,
+    NaiveScaledF0, NaiveScaledFk, RusuDobraF2, SampledEntropyEstimator, SampledF0Estimator,
+    SampledF1HeavyHitters, SampledF2HeavyHitters, SampledFkEstimator, SubsampledEstimator,
 };
 use subsampled_streams::hash::{
     FourWiseSign, PairwiseHash, PolyHash, RngCore64, SplitMix64, TabulationHash, Xoshiro256pp,
@@ -494,6 +494,9 @@ fn collector_merge_of_decoded_snapshots_equals_in_memory_merge() {
     assert_reports_bitwise_equal(&in_memory, &over_wire);
 }
 
+/// Sites that ingest on several worker threads (a `ConcurrentMonitor`
+/// sharding each site's stream across two workers) ship their quiesced
+/// monitors; the collector's wire merge equals the in-memory merge.
 #[test]
 fn sharded_monitor_wire_collection_matches_in_memory() {
     let p = 0.3;
@@ -508,9 +511,9 @@ fn sharded_monitor_wire_collection_matches_in_memory() {
 
     // Two identical sites (same seeds, same data) -> deterministic state.
     let run_site = |sampler_seed: u64| {
-        let mut sm = ShardedMonitor::launch(&proto(), sampler_seed, ShardedConfig::new(2));
-        sm.ingest_shared(&trace);
-        sm.finish()
+        let mut cm = ConcurrentMonitor::launch(&proto(), sampler_seed, ConcurrentConfig::new(2));
+        cm.ingest_shared(&trace);
+        cm.finish()
     };
     let site_a = run_site(100);
     let site_b = run_site(200);
@@ -524,14 +527,6 @@ fn sharded_monitor_wire_collection_matches_in_memory() {
         .expect("wire");
 
     assert_reports_bitwise_equal(&in_memory, &over_wire);
-
-    // The mid-run snapshot path produces decodable frames too.
-    let mut sm = ShardedMonitor::launch(&proto(), 300, ShardedConfig::new(2));
-    sm.ingest_shared(&trace);
-    let snap =
-        Monitor::restore(&sm.snapshot_wire().expect("snapshot encode")).expect("snapshot decode");
-    assert!(snap.p() == p);
-    let _ = sm.finish();
 }
 
 #[test]

@@ -11,8 +11,7 @@
 use std::sync::Arc;
 
 use subsampled_streams::core::{
-    ConcurrentConfig, ConcurrentMonitor, Monitor, MonitorBuilder, ParallelStrategy, ShardedConfig,
-    ShardedMonitor, Statistic,
+    ConcurrentConfig, ConcurrentMonitor, Monitor, MonitorBuilder, Statistic,
 };
 use subsampled_streams::stream::{
     ExactStats, NetFlowStream, PlantedHeavyHitters, StreamGen, ZipfStream,
@@ -162,38 +161,44 @@ fn planted_heavies_survive_concurrent_quiesce() {
     }
 }
 
-/// `ParallelStrategy::Replicated` is the `ShardedMonitor` deployment
-/// without its dispatch layer: same per-worker fork seeds
-/// (`split_seed(builder_seed, i)` schedule), same per-worker samplers,
-/// same round-robin partition, same merge order — so over the same
-/// stream it must reproduce the sharded pipeline's answers.
+/// A single worker is bit for bit the single-threaded pipeline:
+/// `fork_shard(0)` (whose seed schedule the replicated slots follow;
+/// grid and key-sharded slots keep the prototype's seeds, which the
+/// fork leaves untouched) plus the worker-0 split sampler, fed the same
+/// chunks in order and sampled in the worker's 4096-survivor batches.
 #[test]
-fn replicated_strategy_reproduces_sharded_monitor() {
+fn one_worker_equals_the_equivalent_single_threaded_run() {
+    use subsampled_streams::hash::split_seed;
+    use subsampled_streams::stream::BernoulliSampler;
+
     let p = 0.2;
     let stream = Arc::new(ZipfStream::new(1_000, 1.1).generate(80_000, 17));
+    // `run_concurrent` launches with sampler seed 555 and 8192-element
+    // dispatch chunks.
+    let sampler_seed = 555;
 
-    let mut scfg = ShardedConfig::new(2);
-    scfg.dispatch_chunk = 8192;
-    let mut sm = ShardedMonitor::launch(&full_proto(p), 555, scfg);
-    sm.ingest_shared(&stream);
-    let sharded = sm.finish();
+    let concurrent = run_concurrent(&full_proto(p), &stream, 1);
 
-    let mut ccfg = ConcurrentConfig::new(2);
-    ccfg.dispatch_chunk = 8192;
-    ccfg.strategy = ParallelStrategy::Replicated;
-    let mut cm = ConcurrentMonitor::launch(&full_proto(p), 555, ccfg);
-    cm.ingest_shared(&stream);
-    let merged = cm.finish();
+    let mut single = full_proto(p).fork_shard(0);
+    let mut sampler = BernoulliSampler::new(p, split_seed(sampler_seed, 0));
+    for chunk in stream.chunks(8192) {
+        sampler.sample_batches(chunk, 4096, |batch| single.update_batch(batch));
+    }
 
-    assert_eq!(merged.samples_seen(), sharded.samples_seen());
-    for ((la, ea), (lb, eb)) in merged.report().into_iter().zip(sharded.report()) {
+    assert_eq!(concurrent.samples_seen(), single.samples_seen());
+    let bits = |r: &[(u64, f64)]| r.iter().map(|&(i, v)| (i, v.to_bits())).collect::<Vec<_>>();
+    let (a, b) = (concurrent.report(), single.report());
+    assert_eq!(a.len(), b.len());
+    for ((la, ea), (lb, eb)) in a.into_iter().zip(b) {
         assert_eq!(la, lb);
-        assert!(
-            (ea.value - eb.value).abs() <= 1e-9 * ea.value.abs().max(1.0),
-            "{la}: replicated {} vs sharded {}",
+        assert_eq!(
+            ea.value.to_bits(),
+            eb.value.to_bits(),
+            "{la}: concurrent {} vs single {}",
             ea.value,
             eb.value
         );
+        assert_eq!(bits(&ea.report), bits(&eb.report), "{la}: report entries");
     }
 }
 
