@@ -22,7 +22,10 @@ use sss_hash::{fp_hash_map, FpHashMap};
 use sss_sketch::ams::AmsF2;
 use sss_sketch::kmv::MedianF0;
 
-use crate::estimate::{Estimate, Guarantee, Statistic, SubsampledEstimator};
+use crate::estimate::{
+    assert_merge_compatible, check_rates, Estimate, Guarantee, MergeError, Statistic,
+    SubsampledEstimator,
+};
 
 /// Rusu–Dobra estimator of `F_2(P)` from the sampled stream.
 #[derive(Debug, Clone)]
@@ -94,7 +97,7 @@ impl RusuDobraF2 {
     /// Merge a second monitor's estimator (same dimensions, seed and `p`):
     /// AMS sketches are linear, so the merge is exact.
     pub fn merge(&mut self, other: &RusuDobraF2) {
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        assert_merge_compatible(SubsampledEstimator::merge_compatible(self, other));
         self.ams.merge(&other.ams);
         self.n_sampled += other.n_sampled;
     }
@@ -122,6 +125,13 @@ impl SubsampledEstimator for RusuDobraF2 {
 
     fn merge(&mut self, other: &Self) {
         RusuDobraF2::merge(self, other);
+    }
+
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        check_rates(self.p, other.p)?;
+        self.ams
+            .check_merge(&other.ams)
+            .map_err(|what| MergeError::structure(Statistic::Fk(2), what))
     }
 
     fn estimate(&self) -> Estimate {
@@ -187,8 +197,7 @@ impl NaiveScaledFk {
     /// Merge a second baseline (same `k` and `p`): exact frequency-map
     /// union.
     pub fn merge(&mut self, other: &NaiveScaledFk) {
-        assert_eq!(self.k, other.k, "moment order mismatch");
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        assert_merge_compatible(SubsampledEstimator::merge_compatible(self, other));
         // sss-lint: allow(canonical_iteration) — commutative u64 adds into an exact map; the merged state is iteration-order independent
         for (&i, &g) in &other.freqs {
             *self.freqs.entry(i).or_insert(0) += g;
@@ -230,6 +239,14 @@ impl SubsampledEstimator for NaiveScaledFk {
 
     fn merge(&mut self, other: &Self) {
         NaiveScaledFk::merge(self, other);
+    }
+
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        if self.k != other.k {
+            let what = format!("moment order mismatch: {} vs {}", self.k, other.k);
+            return Err(MergeError::structure(Statistic::Fk(self.k), what));
+        }
+        check_rates(self.p, other.p)
     }
 
     fn estimate(&self) -> Estimate {
@@ -288,7 +305,7 @@ impl NaiveScaledF0 {
     /// Merge a second baseline built with the same seed and `p` (bottom-k
     /// union).
     pub fn merge(&mut self, other: &NaiveScaledF0) {
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        assert_merge_compatible(SubsampledEstimator::merge_compatible(self, other));
         self.inner.merge(&other.inner);
         self.n_sampled += other.n_sampled;
     }
@@ -314,6 +331,13 @@ impl SubsampledEstimator for NaiveScaledF0 {
 
     fn merge(&mut self, other: &Self) {
         NaiveScaledF0::merge(self, other);
+    }
+
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        check_rates(self.p, other.p)?;
+        self.inner
+            .check_merge(&other.inner)
+            .map_err(|what| MergeError::structure(Statistic::F0, what))
     }
 
     fn estimate(&self) -> Estimate {

@@ -11,6 +11,8 @@
 //!   `Õ(p⁻¹m^{1−2/k})` space; adds the sketching error (events `E²_ℓ`,
 //!   Lemmas 6–7).
 
+use std::collections::hash_map::Entry;
+
 use sss_codec::{
     put_packed_sorted_u64s, put_varint_u64, put_varint_u64s, CodecError, Reader, WireCodec,
 };
@@ -31,11 +33,18 @@ pub trait CollisionOracle {
         }
     }
 
+    /// Whether `other` can merge into `self` (same order and sketch
+    /// configuration), without mutating anything. `merge` panics with the
+    /// returned reason.
+    fn check_merge(&self, other: &Self) -> Result<(), String>
+    where
+        Self: Sized;
+
     /// Merge a second oracle of the same configuration: afterwards `self`
     /// summarises the concatenation of both ingested streams.
     ///
     /// # Panics
-    /// If the oracles are incompatible (different order or sketch seeds).
+    /// If [`CollisionOracle::check_merge`] fails.
     fn merge(&mut self, other: &Self)
     where
         Self: Sized;
@@ -119,30 +128,50 @@ impl CollisionOracle for ExactCollisions {
         }
     }
 
-    /// Merge per shared item by patching the collision counts in closed
-    /// form, `ΔC_ℓ = binom(a+b, ℓ) − binom(a, ℓ) − binom(b, ℓ)` — `O(k)`
-    /// per item of `other`. Patches apply in ascending item order so the
-    /// float accumulation is canonical: merging a deserialized oracle
-    /// (same contents, different hash-map history) lands on bitwise the
-    /// same `C_ℓ` as merging the original.
+    fn check_merge(&self, other: &Self) -> Result<(), String> {
+        let (mine, theirs) = (self.max_order(), other.max_order());
+        if mine != theirs {
+            return Err(format!("order mismatch: {mine} vs {theirs}"));
+        }
+        Ok(())
+    }
+
+    /// Merge in one pass over `other`'s map: insert each item absent from
+    /// `self` (`a = 0`, counts are never 0) and add into each present one,
+    /// recording the present ones. Only those shared items change the
+    /// collision counts beyond the sum of both accumulators, by the
+    /// closed form `ΔC_ℓ = binom(a+b, ℓ) − binom(a, ℓ) − binom(b, ℓ)`;
+    /// the patches apply in ascending item order so the float
+    /// accumulation is canonical: merging a deserialized oracle (same
+    /// contents, different hash-map history) lands on bitwise the same
+    /// `C_ℓ` as merging the original.
     fn merge(&mut self, other: &Self) {
-        assert_eq!(self.c.len(), other.c.len(), "order mismatch");
-        let k = self.c.len() as u32 - 1;
-        // Start from the sum of both accumulators, then patch shared items.
+        sss_sketch::assert_mergeable(self.check_merge(other));
+        let k = self.max_order();
         for ell in 1..=k as usize {
             self.c[ell] += other.c[ell];
         }
-        let mut rows: Vec<(u64, u64)> = other.freqs.iter().map(|(&i, &g)| (i, g)).collect();
-        rows.sort_unstable();
-        for (item, b) in rows {
-            let a = self.freq(item);
-            if a > 0 {
-                for ell in 2..=k {
-                    self.c[ell as usize] +=
-                        binom_f64(a + b, ell) - binom_f64(a, ell) - binom_f64(b, ell);
+        self.freqs.reserve(other.freqs.len());
+        let mut shared: Vec<(u64, u64, u64)> = Vec::new();
+        // sss-lint: allow(canonical_iteration) — insert-or-add of u64 counts commutes, so the merged map is order independent; the only order-sensitive effect, the float patches, runs sorted below
+        for (&item, &b) in &other.freqs {
+            match self.freqs.entry(item) {
+                Entry::Occupied(mut e) => {
+                    let a = *e.get();
+                    shared.push((item, a, b));
+                    *e.get_mut() = a + b;
+                }
+                Entry::Vacant(e) => {
+                    e.insert(b);
                 }
             }
-            self.freqs.insert(item, a + b);
+        }
+        shared.sort_unstable_by_key(|&(item, _, _)| item);
+        for (_, a, b) in shared {
+            for ell in 2..=k {
+                self.c[ell as usize] +=
+                    binom_f64(a + b, ell) - binom_f64(a, ell) - binom_f64(b, ell);
+            }
         }
         self.n += other.n;
     }
@@ -264,8 +293,18 @@ impl CollisionOracle for LevelSetCollisions {
         self.inner.update_batch(xs);
     }
 
+    fn check_merge(&self, other: &Self) -> Result<(), String> {
+        if self.max_order != other.max_order {
+            return Err(format!(
+                "order mismatch: {} vs {}",
+                self.max_order, other.max_order
+            ));
+        }
+        self.inner.check_merge(&other.inner)
+    }
+
     fn merge(&mut self, other: &Self) {
-        assert_eq!(self.max_order, other.max_order, "order mismatch");
+        sss_sketch::assert_mergeable(self.check_merge(other));
         self.inner.merge(&other.inner);
     }
 
@@ -449,6 +488,92 @@ mod tests {
         assert_eq!(a.estimate(2), 2.0 * 45.0); // two items of freq 10
         assert_eq!(a.freq(1), 10);
         assert_eq!(a.freq(2), 10);
+    }
+
+    /// The sort-all-rows merge the one-pass `merge` replaced: every row
+    /// of `other` in ascending item order, a lookup and an insert each.
+    /// Kept as the bitwise reference.
+    fn reference_merge(a: &mut ExactCollisions, other: &ExactCollisions) {
+        let k = a.max_order();
+        for ell in 1..=k as usize {
+            a.c[ell] += other.c[ell];
+        }
+        let mut rows: Vec<(u64, u64)> = other.freqs.iter().map(|(&i, &g)| (i, g)).collect();
+        rows.sort_unstable();
+        for (item, g) in rows {
+            let f = a.freq(item);
+            if f > 0 {
+                for ell in 2..=k {
+                    a.c[ell as usize] +=
+                        binom_f64(f + g, ell) - binom_f64(f, ell) - binom_f64(g, ell);
+                }
+            }
+            a.freqs.insert(item, f + g);
+        }
+        a.n += other.n;
+    }
+
+    fn sorted_rows(o: &ExactCollisions) -> Vec<(u64, u64)> {
+        let mut rows: Vec<(u64, u64)> = o.freqs.iter().map(|(&i, &g)| (i, g)).collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    fn assert_bitwise_eq(got: &ExactCollisions, want: &ExactCollisions, case: &str) {
+        let bits = |o: &ExactCollisions| o.c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{case}: C_ℓ bits");
+        assert_eq!(
+            sorted_rows(got),
+            sorted_rows(want),
+            "{case}: frequency rows"
+        );
+        assert_eq!(got.n, want.n, "{case}: n");
+    }
+
+    /// An oracle holding `distinct` items from `first` on, item `i` with
+    /// count `1 + (i² mod 9973)·10007`, and `C_ℓ` summed in closed form.
+    /// Counts up to ~10⁸ push every `C_ℓ` past 2⁵³, so each float patch
+    /// rounds and a change in patch order changes the result's bits.
+    fn skewed(k: u32, first: u64, distinct: u64) -> ExactCollisions {
+        let mut o = ExactCollisions::new(k);
+        for i in first..first + distinct {
+            let g = 1 + (i * i % 9973) * 10_007;
+            o.freqs.insert(sss_hash::fingerprint64(i), g);
+            for ell in 1..=k {
+                o.c[ell as usize] += binom_f64(g, ell);
+            }
+            o.n += g;
+        }
+        o
+    }
+
+    #[test]
+    fn one_pass_merge_is_bitwise_the_sort_all_rows_merge() {
+        let cases = [
+            ("disjoint", 3, (0, 2000), (10_000, 1500)),
+            ("overlapping", 3, (0, 2000), (1000, 2500)),
+            ("self-merge into empty", 3, (0, 0), (0, 3000)),
+            ("k = 2", 2, (0, 2000), (500, 2000)),
+            ("k = 4", 4, (0, 2000), (500, 2000)),
+        ];
+        for (case, k, left, right) in cases {
+            let a = skewed(k, left.0, left.1);
+            let b = skewed(k, right.0, right.1);
+            let mut want = a.clone();
+            reference_merge(&mut want, &b);
+
+            let mut got = a.clone();
+            got.merge(&b);
+            assert_bitwise_eq(&got, &want, case);
+
+            // A decoded copy holds the same rows under a different
+            // hash-map history, so the one-pass walk visits them in
+            // another order: the result must not move.
+            let b_copy = ExactCollisions::decode_framed(&b.encode_framed()).expect("round trip");
+            let mut got = a.clone();
+            got.merge(&b_copy);
+            assert_bitwise_eq(&got, &want, case);
+        }
     }
 
     #[test]

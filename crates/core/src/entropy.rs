@@ -18,7 +18,9 @@
 use sss_codec::{CodecError, Reader, WireCodec};
 use sss_sketch::entropy::EntropyEstimator;
 
-use crate::estimate::{Estimate, Guarantee, Statistic, SubsampledEstimator};
+use crate::estimate::{
+    assert_merge_compatible, Estimate, Guarantee, Statistic, SubsampledEstimator,
+};
 
 /// Theorem 5's estimator: a streaming multiplicative estimate of `H(g)`
 /// interpreted as a constant-factor estimate of `H(f)`.
@@ -85,7 +87,7 @@ impl SampledEntropyEstimator {
     /// Theorem 5's constant-factor contract whenever `H(f)` is above its
     /// admissibility threshold by that margin.
     pub fn merge(&mut self, other: &SampledEntropyEstimator) {
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        assert_merge_compatible(SubsampledEstimator::merge_compatible(self, other));
         self.merged_weight += other.inner.n() as f64 * other.inner.estimate() + other.merged_weight;
         self.merged_n += other.inner.n() + other.merged_n;
     }

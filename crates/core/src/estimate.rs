@@ -37,12 +37,28 @@ pub fn rates_compatible(a: f64, b: f64) -> bool {
     a.is_finite() && b.is_finite() && (a - b).abs() <= RATE_MERGE_RTOL * a.abs().max(b.abs())
 }
 
-/// Panicking form of [`rates_compatible`] for estimator-level `merge`
-/// (the `try_merge` path reports [`MergeError::RateMismatch`] instead).
-#[inline]
+/// [`rates_compatible`] as a merge check: [`MergeError::RateMismatch`]
+/// when the rates differ.
+pub fn check_rates(left: f64, right: f64) -> Result<(), MergeError> {
+    if rates_compatible(left, right) {
+        Ok(())
+    } else {
+        Err(MergeError::RateMismatch { left, right })
+    }
+}
+
+/// Enforce a [`SubsampledEstimator::merge_compatible`] result: every
+/// estimator's `merge` panics through its own `merge_compatible`, so the
+/// panicking and the fallible merge share one definition of
+/// "mergeable".
+///
+/// # Panics
+/// With the error's message when the check failed.
 #[track_caller]
-pub fn assert_rates_compatible(a: f64, b: f64) {
-    assert!(rates_compatible(a, b), "sampling rates differ: {a} vs {b}");
+pub fn assert_merge_compatible(check: Result<(), MergeError>) {
+    if let Err(e) = check {
+        panic!("{e}");
+    }
 }
 
 /// Why two summaries refused to merge. Returned by
@@ -78,6 +94,35 @@ pub enum MergeError {
         /// The slot's label.
         label: String,
     },
+    /// Same type and rate at a slot, but the estimators were built
+    /// differently: sketch dimensions, hash seeds or parameters differ.
+    StructureMismatch {
+        /// The slot's label (the statistic's name outside a monitor).
+        label: String,
+        /// The first difference found, e.g. "incompatible hash functions".
+        what: String,
+    },
+}
+
+impl MergeError {
+    /// A [`MergeError::StructureMismatch`] for an estimator of `stat`.
+    pub(crate) fn structure(stat: Statistic, what: String) -> Self {
+        MergeError::StructureMismatch {
+            label: stat.to_string(),
+            what,
+        }
+    }
+
+    /// Name the monitor slot a structural mismatch was found at.
+    pub(crate) fn in_slot(self, slot: &str) -> Self {
+        match self {
+            MergeError::StructureMismatch { what, .. } => MergeError::StructureMismatch {
+                label: slot.to_string(),
+                what,
+            },
+            e => e,
+        }
+    }
 }
 
 impl std::fmt::Display for MergeError {
@@ -96,6 +141,9 @@ impl std::fmt::Display for MergeError {
             ),
             MergeError::TypeMismatch { label } => {
                 write!(f, "estimator type mismatch at slot '{label}'")
+            }
+            MergeError::StructureMismatch { label, what } => {
+                write!(f, "estimator structure mismatch at slot '{label}': {what}")
             }
         }
     }
@@ -315,39 +363,38 @@ pub trait SubsampledEstimator {
     /// original stream.
     ///
     /// # Panics
-    /// If the two estimators are incompatible (different parameters or
-    /// sketch seeds).
+    /// If [`SubsampledEstimator::merge_compatible`] fails.
     fn merge(&mut self, other: &Self)
     where
         Self: Sized;
 
-    /// The validation half of [`SubsampledEstimator::try_merge`]: whether
-    /// `other` could merge into `self`, **without mutating anything**.
-    /// Default: the tolerant rate check (beyond [`RATE_MERGE_RTOL`]
-    /// relative ⇒ [`MergeError::RateMismatch`]). Estimators whose merge is
-    /// rate-agnostic (e.g. adaptive-rate extensions) override this to
-    /// accept unconditionally. Monitors run this for *every* slot before
-    /// merging *any*, so a failed monitor merge never half-applies.
+    /// Whether `other` could merge into `self`, **without mutating
+    /// anything**: the complete precondition of
+    /// [`SubsampledEstimator::merge`], which panics exactly when this
+    /// returns `Err`. Rates beyond [`RATE_MERGE_RTOL`] relative give
+    /// [`MergeError::RateMismatch`]; differing dimensions, hash seeds or
+    /// parameters give [`MergeError::StructureMismatch`].
+    ///
+    /// The default checks the rate only, which is complete for an
+    /// estimator with no structure of its own to compare. Every estimator
+    /// in this crate with sketch state overrides it; estimators whose
+    /// merge is rate-agnostic (e.g. adaptive-rate extensions) override it
+    /// to accept unconditionally. Monitors run this for *every* slot
+    /// before merging *any*, so a failed monitor merge never
+    /// half-applies.
     fn merge_compatible(&self, other: &Self) -> Result<(), MergeError>
     where
         Self: Sized,
     {
-        if !rates_compatible(self.p(), other.p()) {
-            return Err(MergeError::RateMismatch {
-                left: self.p(),
-                right: other.p(),
-            });
-        }
-        Ok(())
+        check_rates(self.p(), other.p())
     }
 
     /// Fallible [`SubsampledEstimator::merge`]: reject an incompatible
     /// shard (per [`SubsampledEstimator::merge_compatible`]) with a typed
-    /// [`MergeError`] instead of panicking.
-    ///
-    /// # Panics
-    /// Still panics on *structural* incompatibility (different sketch
-    /// dimensions or seeds) — those are configuration bugs, not data.
+    /// [`MergeError`] instead of panicking. Panic-free for every
+    /// estimator in this crate; an out-of-crate estimator gets the same
+    /// guarantee only if its `merge_compatible` covers everything its
+    /// `merge` asserts.
     fn try_merge(&mut self, other: &Self) -> Result<(), MergeError>
     where
         Self: Sized,

@@ -11,7 +11,10 @@
 use sss_codec::{CodecError, Reader, WireCodec};
 use sss_sketch::kmv::MedianF0;
 
-use crate::estimate::{Estimate, Guarantee, Statistic, SubsampledEstimator};
+use crate::estimate::{
+    assert_merge_compatible, check_rates, Estimate, Guarantee, MergeError, Statistic,
+    SubsampledEstimator,
+};
 
 /// Algorithm 2: `F_0(P)` estimation by scaled streaming `F_0(L)`.
 ///
@@ -150,7 +153,7 @@ impl SampledF0Estimator {
     /// streams — bottom-k sketches are exactly mergeable, so distributed
     /// monitors lose nothing.
     pub fn merge(&mut self, other: &SampledF0Estimator) {
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        assert_merge_compatible(SubsampledEstimator::merge_compatible(self, other));
         self.inner.merge(&other.inner);
         self.n_sampled += other.n_sampled;
     }
@@ -171,6 +174,13 @@ impl SubsampledEstimator for SampledF0Estimator {
 
     fn merge(&mut self, other: &Self) {
         SampledF0Estimator::merge(self, other);
+    }
+
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        check_rates(self.p, other.p)?;
+        self.inner
+            .check_merge(&other.inner)
+            .map_err(|what| MergeError::structure(Statistic::F0, what))
     }
 
     fn estimate(&self) -> Estimate {

@@ -18,7 +18,10 @@ use sss_codec::{CodecError, Reader, WireCodec};
 use sss_sketch::levelset::LevelSetConfig;
 
 use crate::collisions::{CollisionOracle, ExactCollisions, LevelSetCollisions};
-use crate::estimate::{Estimate, Guarantee, Statistic, SubsampledEstimator};
+use crate::estimate::{
+    assert_merge_compatible, check_rates, Estimate, Guarantee, MergeError, Statistic,
+    SubsampledEstimator,
+};
 use crate::params::ApproxParams;
 use crate::stirling::{beta_coefficients, epsilon_schedule, factorial_f64, MAX_K};
 
@@ -125,8 +128,7 @@ impl<O: CollisionOracle> SampledFkEstimator<O> {
     /// for [`ExactCollisions`] (frequency algebra); within sketch error
     /// for [`LevelSetCollisions`] (linear CountSketch merge).
     pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.k, other.k, "moment order mismatch");
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        assert_merge_compatible(SubsampledEstimator::merge_compatible(self, other));
         self.oracle.merge(&other.oracle);
     }
 
@@ -174,6 +176,18 @@ impl<O: CollisionOracle> SubsampledEstimator for SampledFkEstimator<O> {
 
     fn merge(&mut self, other: &Self) {
         SampledFkEstimator::merge(self, other);
+    }
+
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        let stat = Statistic::Fk(self.k);
+        if self.k != other.k {
+            let what = format!("moment order mismatch: {} vs {}", self.k, other.k);
+            return Err(MergeError::structure(stat, what));
+        }
+        check_rates(self.p, other.p)?;
+        self.oracle
+            .check_merge(&other.oracle)
+            .map_err(|what| MergeError::structure(stat, what))
     }
 
     fn estimate(&self) -> Estimate {

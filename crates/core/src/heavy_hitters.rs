@@ -19,7 +19,10 @@
 use sss_codec::{CodecError, Reader, WireCodec};
 use sss_sketch::topk::{CmHeavyHitters, CsHeavyHitters};
 
-use crate::estimate::{Estimate, Guarantee, Statistic, SubsampledEstimator};
+use crate::estimate::{
+    assert_merge_compatible, check_rates, Estimate, Guarantee, MergeError, Statistic,
+    SubsampledEstimator,
+};
 
 /// Theorem 6: `F_1` heavy hitters of `P` from CountMin over `L`.
 ///
@@ -114,13 +117,7 @@ impl SampledF1HeavyHitters {
     /// seed): afterwards the report covers the concatenated original
     /// stream.
     pub fn merge(&mut self, other: &SampledF1HeavyHitters) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-15
-                && (self.eps - other.eps).abs() < 1e-15
-                && (self.delta - other.delta).abs() < 1e-15,
-            "parameter mismatch"
-        );
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        assert_merge_compatible(SubsampledEstimator::merge_compatible(self, other));
         self.inner.merge(&other.inner);
     }
 
@@ -162,6 +159,19 @@ impl SubsampledEstimator for SampledF1HeavyHitters {
 
     fn merge(&mut self, other: &Self) {
         SampledF1HeavyHitters::merge(self, other);
+    }
+
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        let stat = Statistic::F1HeavyHitters;
+        check_theorem_params(
+            stat,
+            [self.alpha, self.eps, self.delta],
+            [other.alpha, other.eps, other.delta],
+        )?;
+        check_rates(self.p, other.p)?;
+        self.inner
+            .check_merge(&other.inner)
+            .map_err(|what| MergeError::structure(stat, what))
     }
 
     fn estimate(&self) -> Estimate {
@@ -269,13 +279,7 @@ impl SampledF2HeavyHitters {
     /// Merge a second monitor's reporter (same parameters and sketch
     /// seed).
     pub fn merge(&mut self, other: &SampledF2HeavyHitters) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-15
-                && (self.eps - other.eps).abs() < 1e-15
-                && (self.delta - other.delta).abs() < 1e-15,
-            "parameter mismatch"
-        );
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        assert_merge_compatible(SubsampledEstimator::merge_compatible(self, other));
         self.inner.merge(&other.inner);
     }
 
@@ -322,6 +326,19 @@ impl SubsampledEstimator for SampledF2HeavyHitters {
         SampledF2HeavyHitters::merge(self, other);
     }
 
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        let stat = Statistic::F2HeavyHitters;
+        check_theorem_params(
+            stat,
+            [self.alpha, self.eps, self.delta],
+            [other.alpha, other.eps, other.delta],
+        )?;
+        check_rates(self.p, other.p)?;
+        self.inner
+            .check_merge(&other.inner)
+            .map_err(|what| MergeError::structure(stat, what))
+    }
+
     fn estimate(&self) -> Estimate {
         Estimate::heavy_hitters(
             self.report(),
@@ -345,6 +362,24 @@ impl SubsampledEstimator for SampledF2HeavyHitters {
 
     fn samples_seen(&self) -> u64 {
         SampledF2HeavyHitters::samples_seen(self)
+    }
+}
+
+/// The `(α, ε, δ)` half of both theorem reporters' merge check.
+fn check_theorem_params(
+    stat: Statistic,
+    mine: [f64; 3],
+    theirs: [f64; 3],
+) -> Result<(), MergeError> {
+    if mine
+        .iter()
+        .zip(&theirs)
+        .all(|(&a, &b)| sss_sketch::same_param(a, b))
+    {
+        Ok(())
+    } else {
+        let what = format!("parameter mismatch: (α, ε, δ) {mine:?} vs {theirs:?}");
+        Err(MergeError::structure(stat, what))
     }
 }
 

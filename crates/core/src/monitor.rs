@@ -45,7 +45,7 @@ use sss_obs::MetricId;
 use sss_sketch::levelset::LevelSetConfig;
 
 use crate::entropy::SampledEntropyEstimator;
-use crate::estimate::{rates_compatible, Estimate, MergeError, Statistic, SubsampledEstimator};
+use crate::estimate::{check_rates, Estimate, MergeError, Statistic, SubsampledEstimator};
 use crate::f0::SampledF0Estimator;
 use crate::fk::{recommended_levelset_config, SampledFkEstimator};
 use crate::heavy_hitters::{SampledF1HeavyHitters, SampledF2HeavyHitters};
@@ -117,7 +117,7 @@ impl<T: SubsampledEstimator + Any + Clone + Send + Sync + WireCodec> DynEstimato
             .ok_or_else(|| MergeError::TypeMismatch {
                 label: label.to_string(),
             })?;
-        SubsampledEstimator::merge_compatible(self, other)
+        SubsampledEstimator::merge_compatible(self, other).map_err(|e| e.in_slot(label))
     }
 
     fn merge_dyn(&mut self, other: &dyn Any, label: &str) -> Result<(), MergeError> {
@@ -472,20 +472,19 @@ impl Monitor {
         }
     }
 
-    /// Fallible [`Monitor::merge`]: validates rate (within
+    /// Whether `other` can merge into `self`, without mutating or
+    /// copying anything: rate (within
     /// [`crate::estimate::RATE_MERGE_RTOL`] relative — shard `p` values
     /// arriving via config or serialization may differ in the last ulp),
-    /// registration shape, labels, concrete estimator types and per-slot
-    /// estimator compatibility (`merge_compatible`, which catches e.g. a
-    /// `register()`-ed baseline carrying its own divergent rate) **before
-    /// touching any state**, so an `Err` leaves `self` exactly as it was.
-    pub fn try_merge(&mut self, other: &Monitor) -> Result<(), MergeError> {
-        if !rates_compatible(self.p, other.p) {
-            return Err(MergeError::RateMismatch {
-                left: self.p,
-                right: other.p,
-            });
-        }
+    /// registration shape, labels, concrete estimator types and each
+    /// slot's [`SubsampledEstimator::merge_compatible`] (sketch
+    /// dimensions, hash seeds, parameters, and e.g. a `register()`-ed
+    /// baseline carrying its own divergent rate). When every slot holds
+    /// an estimator of this crate, `Ok` means [`Monitor::merge`] cannot
+    /// panic — what a collector asks of an incoming snapshot instead of
+    /// merging it into a throwaway copy.
+    pub fn check_merge(&self, other: &Monitor) -> Result<(), MergeError> {
+        check_rates(self.p, other.p)?;
         if self.entries.len() != other.entries.len() {
             return Err(MergeError::ShapeMismatch {
                 left: self.entries.len(),
@@ -501,6 +500,14 @@ impl Monitor {
             }
             mine.est.check_merge(theirs.est.as_any(), &mine.label)?;
         }
+        Ok(())
+    }
+
+    /// Fallible [`Monitor::merge`]: runs [`Monitor::check_merge`]
+    /// **before touching any state**, so an `Err` leaves `self` exactly
+    /// as it was.
+    pub fn try_merge(&mut self, other: &Monitor) -> Result<(), MergeError> {
+        self.check_merge(other)?;
         for (mine, theirs) in self.entries.iter_mut().zip(&other.entries) {
             mine.est.merge_dyn(theirs.est.as_any(), &mine.label)?;
         }
@@ -935,6 +942,163 @@ mod tests {
             a.estimate(Statistic::F0).unwrap(),
             f0_before,
             "the slot ahead of the mismatch must be untouched"
+        );
+    }
+
+    /// `(name, build(seed, other_param), [seed pair merges, parameter
+    /// pair merges])`.
+    type RegistryCase = (&'static str, fn(u64, bool) -> Monitor, [bool; 2]);
+
+    /// One single-slot monitor per estimator [`decode_estimator`] can
+    /// rebuild, as `build(seed, other_param)`: `seed` feeds the sketch
+    /// hashes, `other_param` changes one structural parameter.
+    fn one_monitor_per_registry_tag() -> Vec<RegistryCase> {
+        use crate::adaptive::AdaptiveF2Estimator;
+        use crate::baselines::{NaiveScaledF0, RusuDobraF2};
+        use crate::collisions::ExactCollisions;
+        const P: f64 = 0.5;
+        fn b(seed: u64) -> MonitorBuilder {
+            MonitorBuilder::with_seed(P, seed)
+        }
+        vec![
+            (
+                "F0",
+                |s, o| b(s).f0(if o { 0.01 } else { 0.05 }).build(),
+                [false, false],
+            ),
+            (
+                "Fk exact",
+                |s, o| match o {
+                    false => b(s).fk(2).build(),
+                    true => {
+                        let est = SampledFkEstimator::with_oracle(ExactCollisions::new(3), 2, P);
+                        b(s).register("F2", est).build()
+                    }
+                },
+                [true, false],
+            ),
+            (
+                "Fk sketched",
+                |s, o| {
+                    let cfg = LevelSetConfig::for_universe(1 << 10, if o { 128 } else { 64 });
+                    b(s).fk_sketched_with(2, &cfg).build()
+                },
+                [false, false],
+            ),
+            (
+                "entropy",
+                |s, o| b(s).entropy(if o { 512 } else { 256 }).build(),
+                [true, true],
+            ),
+            (
+                "hh_f1",
+                |s, o| {
+                    b(s).f1_heavy_hitters(if o { 0.05 } else { 0.1 }, 0.2, 0.05)
+                        .build()
+                },
+                [false, false],
+            ),
+            (
+                "hh_f2",
+                |s, o| {
+                    b(s).f2_heavy_hitters(if o { 0.2 } else { 0.3 }, 0.3, 0.05)
+                        .build()
+                },
+                [false, false],
+            ),
+            (
+                "Rusu-Dobra",
+                |s, o| {
+                    let est = RusuDobraF2::new(P, if o { 5 } else { 3 }, 16, s);
+                    b(s).register("F2_rd", est).build()
+                },
+                [false, false],
+            ),
+            (
+                "naive Fk",
+                |s, o| {
+                    let est = NaiveScaledFk::new(if o { 3 } else { 2 }, P);
+                    b(s).register("F2_naive", est).build()
+                },
+                [true, false],
+            ),
+            (
+                "naive F0",
+                |s, o| {
+                    let est = NaiveScaledF0::new(if o { 0.25 } else { P }, s);
+                    b(s).register("F0_naive", est).build()
+                },
+                [false, false],
+            ),
+            (
+                "adaptive",
+                |s, o| {
+                    let est = AdaptiveF2Estimator::new(if o { 0.25 } else { P });
+                    b(s).register("F2_adaptive", est).build()
+                },
+                [true, true],
+            ),
+        ]
+    }
+
+    #[test]
+    fn check_merge_is_complete_for_every_registry_estimator() {
+        let ours: Vec<u64> = (0..4000u64).map(|i| i * i % 701).collect();
+        let theirs: Vec<u64> = (0..3000u64).map(|i| i * 7 % 509).collect();
+        for (name, build, expect) in one_monitor_per_registry_tag() {
+            let mut base = build(1, false);
+            base.update_batch(&ours);
+            let before = base.checkpoint().expect("registry estimators checkpoint");
+            for (pair, other, merges) in [
+                ("other seed", build(2, false), expect[0]),
+                ("other parameter", build(1, true), expect[1]),
+            ] {
+                let mut other = other;
+                other.update_batch(&theirs);
+                let check = base.check_merge(&other);
+                assert_eq!(check.is_ok(), merges, "{name}, {pair}: {check:?}");
+                let mut merged = base.clone();
+                let tried = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    merged.try_merge(&other)
+                }))
+                .unwrap_or_else(|_| panic!("{name}, {pair}: try_merge panicked"));
+                assert_eq!(tried, check, "{name}, {pair}");
+                if tried.is_err() {
+                    assert_eq!(
+                        merged.checkpoint().expect("checkpoint"),
+                        before,
+                        "{name}, {pair}: a refused merge must leave the monitor unchanged"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn structure_mismatch_names_the_slot_and_the_difference() {
+        let build = |k| {
+            MonitorBuilder::with_seed(0.5, 1)
+                .f0(0.05)
+                .register("F2_naive", NaiveScaledFk::new(k, 0.5))
+                .build()
+        };
+        let err = build(2).check_merge(&build(3)).expect_err("orders differ");
+        assert_eq!(
+            err,
+            MergeError::StructureMismatch {
+                label: "F2_naive".to_string(),
+                what: "moment order mismatch: 2 vs 3".to_string(),
+            }
+        );
+        let other_seed = MonitorBuilder::with_seed(0.5, 4242).f0(0.05).build();
+        let err = MonitorBuilder::with_seed(0.5, 1)
+            .f0(0.05)
+            .build()
+            .check_merge(&other_seed)
+            .expect_err("hash seeds differ");
+        assert_eq!(
+            err.to_string(),
+            "estimator structure mismatch at slot 'F0': incompatible hash functions"
         );
     }
 

@@ -11,7 +11,7 @@ use crate::batch::SignLane;
 use crate::poly::{PairwiseHash, PolyHash};
 
 /// A 4-wise independent function `u64 → {−1, +1}`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FourWiseSign {
     poly: PolyHash,
 }

@@ -182,10 +182,34 @@ impl AmsF2 {
         }
     }
 
+    /// Whether `other` can merge into `self`: same dimensions and sign
+    /// family. [`AmsF2::merge`] panics with the returned reason.
+    pub fn check_merge(&self, other: &AmsF2) -> Result<(), String> {
+        if self.copies != other.copies {
+            return Err(format!(
+                "copies mismatch: {} vs {}",
+                self.copies, other.copies
+            ));
+        }
+        if self.z.len() != other.z.len() {
+            return Err(format!(
+                "groups mismatch: {} vs {}",
+                self.groups(),
+                other.groups()
+            ));
+        }
+        if self.signs != other.signs {
+            return Err("incompatible sign hashes".into());
+        }
+        Ok(())
+    }
+
     /// Merge another sketch with identical dimensions and seed.
+    ///
+    /// # Panics
+    /// If [`AmsF2::check_merge`] fails.
     pub fn merge(&mut self, other: &AmsF2) {
-        assert_eq!(self.copies, other.copies, "copies mismatch");
-        assert_eq!(self.z.len(), other.z.len(), "groups mismatch");
+        crate::assert_mergeable(self.check_merge(other));
         for (a, b) in self.z.iter_mut().zip(&other.z) {
             *a += b;
         }

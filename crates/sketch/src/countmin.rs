@@ -274,21 +274,31 @@ impl CountMin {
             .unwrap_or(0)
     }
 
+    /// Whether `other` can merge into `self`: same width and hash
+    /// functions (hence depth), and both plain — conservative update is
+    /// not linear. [`CountMin::merge`] panics with the returned reason.
+    pub fn check_merge(&self, other: &CountMin) -> Result<(), String> {
+        if self.width != other.width {
+            return Err(format!("width mismatch: {} vs {}", self.width, other.width));
+        }
+        if self.hashes != other.hashes {
+            return Err("incompatible hash functions".into());
+        }
+        if self.conservative != other.conservative {
+            return Err("cannot merge conservative with plain".into());
+        }
+        if self.conservative {
+            return Err("conservative sketches are not mergeable".into());
+        }
+        Ok(())
+    }
+
     /// Merge another sketch built with the same dimensions and seed.
     ///
     /// # Panics
-    /// If dimensions or hash functions differ.
+    /// If [`CountMin::check_merge`] fails.
     pub fn merge(&mut self, other: &CountMin) {
-        assert_eq!(self.width, other.width, "width mismatch");
-        assert_eq!(self.hashes, other.hashes, "incompatible hash functions");
-        assert_eq!(
-            self.conservative, other.conservative,
-            "cannot merge conservative with plain"
-        );
-        assert!(
-            !self.conservative,
-            "conservative sketches are not mergeable"
-        );
+        crate::assert_mergeable(self.check_merge(other));
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
         }

@@ -328,13 +328,28 @@ impl CountSketch {
         median_u128_as_f64(&mut rows)
     }
 
+    /// Whether `other` can merge into `self`: same width, bucket hashes
+    /// (hence depth) and sign hashes. [`CountSketch::merge`] panics with
+    /// the returned reason.
+    pub fn check_merge(&self, other: &CountSketch) -> Result<(), String> {
+        if self.width != other.width {
+            return Err(format!("width mismatch: {} vs {}", self.width, other.width));
+        }
+        if self.bucket_hashes != other.bucket_hashes {
+            return Err("incompatible hash functions".into());
+        }
+        if self.sign_hashes != other.sign_hashes {
+            return Err("incompatible sign hashes".into());
+        }
+        Ok(())
+    }
+
     /// Merge another sketch with identical dimensions and seeds.
+    ///
+    /// # Panics
+    /// If [`CountSketch::check_merge`] fails.
     pub fn merge(&mut self, other: &CountSketch) {
-        assert_eq!(self.width, other.width, "width mismatch");
-        assert_eq!(
-            self.bucket_hashes, other.bucket_hashes,
-            "incompatible hash functions"
-        );
+        crate::assert_mergeable(self.check_merge(other));
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
         }

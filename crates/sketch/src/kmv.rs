@@ -135,10 +135,21 @@ impl KmvSketch {
         }
     }
 
+    /// Whether `other` can merge into `self`: same `k` and hash
+    /// function. [`KmvSketch::merge`] panics with the returned reason.
+    pub fn check_merge(&self, other: &KmvSketch) -> Result<(), String> {
+        if self.k != other.k {
+            return Err(format!("k mismatch: {} vs {}", self.k, other.k));
+        }
+        if self.hash != other.hash {
+            return Err("incompatible hash functions".into());
+        }
+        Ok(())
+    }
+
     /// Merge another sketch with the same `k` and seed.
     pub fn merge(&mut self, other: &KmvSketch) {
-        assert_eq!(self.k, other.k, "k mismatch");
-        assert_eq!(self.hash, other.hash, "incompatible hash functions");
+        crate::assert_mergeable(self.check_merge(other));
         for &h in &other.smallest {
             self.smallest.insert(h);
         }
@@ -218,10 +229,23 @@ impl MedianF0 {
         }
     }
 
+    /// Whether `other` can merge into `self`: same copy count, and every
+    /// copy pair passes [`KmvSketch::check_merge`].
+    pub fn check_merge(&self, other: &MedianF0) -> Result<(), String> {
+        let (mine, theirs) = (self.sketches.len(), other.sketches.len());
+        if mine != theirs {
+            return Err(format!("copies mismatch: {mine} vs {theirs}"));
+        }
+        self.sketches
+            .iter()
+            .zip(&other.sketches)
+            .try_for_each(|(a, b)| a.check_merge(b))
+    }
+
     /// Merge another estimator built with the same `(k, copies, seed)`:
     /// the result summarises the union of both inputs.
     pub fn merge(&mut self, other: &MedianF0) {
-        assert_eq!(self.sketches.len(), other.sketches.len(), "copies mismatch");
+        crate::assert_mergeable(self.check_merge(other));
         for (a, b) in self.sketches.iter_mut().zip(&other.sketches) {
             a.merge(b);
         }

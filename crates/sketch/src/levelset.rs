@@ -180,6 +180,30 @@ impl LevelSetEstimator {
         }
     }
 
+    /// Whether `other` was built from the same configuration and seed:
+    /// same level count, level hash and class shift `η`, and every
+    /// level's CountSketch passes [`CountSketch::check_merge`].
+    /// [`LevelSetEstimator::merge`] panics with the returned reason.
+    pub fn check_merge(&self, other: &LevelSetEstimator) -> Result<(), String> {
+        let (mine, theirs) = (self.levels.len(), other.levels.len());
+        if mine != theirs {
+            return Err(format!("level count mismatch: {mine} vs {theirs}"));
+        }
+        if self.level_hash != other.level_hash {
+            return Err("incompatible level hash".into());
+        }
+        if !crate::same_param(self.eta, other.eta) {
+            return Err(format!(
+                "incompatible class shift η: {} vs {}",
+                self.eta, other.eta
+            ));
+        }
+        self.levels
+            .iter()
+            .zip(&other.levels)
+            .try_for_each(|(a, b)| a.cs.check_merge(&b.cs))
+    }
+
     /// Merge another estimator built from the same configuration and
     /// seed: the per-level CountSketches are linear (counter-wise sum) and
     /// the candidate tables take the union, re-estimated against the
@@ -187,21 +211,9 @@ impl LevelSetEstimator {
     /// both ingested streams.
     ///
     /// # Panics
-    /// If the two estimators were not built with the same configuration
-    /// and seed (different `η`, hashes or dimensions).
+    /// If [`LevelSetEstimator::check_merge`] fails.
     pub fn merge(&mut self, other: &LevelSetEstimator) {
-        assert_eq!(
-            self.levels.len(),
-            other.levels.len(),
-            "level count mismatch"
-        );
-        assert_eq!(self.level_hash, other.level_hash, "incompatible level hash");
-        assert!(
-            (self.eta - other.eta).abs() < 1e-15,
-            "incompatible class shift η: {} vs {}",
-            self.eta,
-            other.eta
-        );
+        crate::assert_mergeable(self.check_merge(other));
         for (mine, theirs) in self.levels.iter_mut().zip(&other.levels) {
             mine.cs.merge(&theirs.cs);
             mine.updates += theirs.updates;

@@ -52,3 +52,23 @@ pub use priority::{PrioritySample, PrioritySampler};
 pub use reservoir::{ReservoirSampler, WeightedReservoir};
 pub use space_saving::SpaceSaving;
 pub use topk::{CmHeavyHitters, CsHeavyHitters, MgHeavyHitters, TopKTracker};
+
+/// Whether two real-valued construction parameters (`α`, `η`, an
+/// estimator's `ε` or `δ`) agree closely enough to merge. NaN-safe: a NaN
+/// agrees with nothing.
+pub fn same_param(a: f64, b: f64) -> bool {
+    (a - b).abs() < 1e-15
+}
+
+/// Enforce a `check_merge` result. Every mergeable substrate's `merge`
+/// panics through its own `check_merge`, so the panicking path and the
+/// fallible one share a single definition of "mergeable".
+///
+/// # Panics
+/// With the check's reason when it failed.
+#[track_caller]
+pub fn assert_mergeable(check: Result<(), String>) {
+    if let Err(why) = check {
+        panic!("{why}");
+    }
+}

@@ -156,6 +156,15 @@ impl OfferCoalescer {
     }
 }
 
+/// The `α` half of both sketch-backed reporters' `check_merge`.
+fn check_alpha(mine: f64, theirs: f64) -> Result<(), String> {
+    if crate::same_param(mine, theirs) {
+        Ok(())
+    } else {
+        Err(format!("alpha mismatch: {mine} vs {theirs}"))
+    }
+}
+
 /// CountMin-backed `F_1` heavy-hitter reporter: report every item whose
 /// estimated frequency is at least `α·n`, with per-item `(1 ± ε·F_1/f)`
 /// frequency estimates.
@@ -237,6 +246,14 @@ impl CmHeavyHitters {
         pending.flush(tracker);
     }
 
+    /// Whether `other` can merge into `self`: same `α` and a mergeable
+    /// CountMin ([`CountMin::check_merge`]). [`CmHeavyHitters::merge`]
+    /// panics with the returned reason.
+    pub fn check_merge(&self, other: &CmHeavyHitters) -> Result<(), String> {
+        check_alpha(self.alpha, other.alpha)?;
+        self.cm.check_merge(&other.cm)
+    }
+
     /// Merge another reporter with the same parameters and sketch seed:
     /// counter-wise CountMin merge, then the candidate union re-estimated
     /// against the merged sketch. *Both* sides' candidates are re-offered
@@ -244,12 +261,7 @@ impl CmHeavyHitters {
     /// shard-sized values would let the tracker's capacity pruning evict a
     /// union-heavy item.
     pub fn merge(&mut self, other: &CmHeavyHitters) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-15,
-            "alpha mismatch: {} vs {}",
-            self.alpha,
-            other.alpha
-        );
+        crate::assert_mergeable(self.check_merge(other));
         self.cm.merge(&other.cm);
         let union: Vec<u64> = self
             .tracker
@@ -439,16 +451,19 @@ impl CsHeavyHitters {
         pending.flush(tracker);
     }
 
+    /// Whether `other` can merge into `self`: same `α` and a mergeable
+    /// CountSketch ([`CountSketch::check_merge`]).
+    /// [`CsHeavyHitters::merge`] panics with the returned reason.
+    pub fn check_merge(&self, other: &CsHeavyHitters) -> Result<(), String> {
+        check_alpha(self.alpha, other.alpha)?;
+        self.cs.check_merge(&other.cs)
+    }
+
     /// Merge another reporter with the same parameters and sketch seed.
     /// Both sides' candidates are re-offered at their post-merge
     /// estimates (see [`CmHeavyHitters::merge`]).
     pub fn merge(&mut self, other: &CsHeavyHitters) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-15,
-            "alpha mismatch: {} vs {}",
-            self.alpha,
-            other.alpha
-        );
+        crate::assert_mergeable(self.check_merge(other));
         self.cs.merge(&other.cs);
         let union: Vec<u64> = self
             .tracker

@@ -1002,8 +1002,8 @@ fn handle_delta_push(
     accept_snapshot(shared, session_site, push.seq, snapshot, frame_bytes)
 }
 
-/// Decode, merge-probe and store one full snapshot (arrived whole or
-/// rebuilt from a delta). Returns the ack to send.
+/// Decode, check mergeability of and store one full snapshot (arrived
+/// whole or rebuilt from a delta). Returns the ack to send.
 fn accept_snapshot(
     shared: &Shared,
     session_site: u64,
@@ -1035,12 +1035,13 @@ fn accept_snapshot(
     };
 
     // Prove mergeability against the prototype *before* storing: a bad
-    // shard is rejected here and never reaches the collector view. The
-    // prototype is immutable shared state, so the (multi-MiB for a
-    // full monitor) clone + merge probe also runs outside the lock —
+    // shard is rejected here and never reaches the collector view.
+    // `check_merge` compares configurations only (no copy, no merge),
+    // and it is complete: a snapshot it accepts cannot make the
+    // `merged()` fold panic, whatever its seeds or sketch dimensions.
+    // It reads the immutable prototype, so it runs outside the lock —
     // concurrent sites only serialize on the cheap store below.
-    let mut probe = shared.prototype.clone();
-    if let Err(e) = probe.try_merge(&snap) {
+    if let Err(e) = shared.prototype.check_merge(&snap) {
         return reject(
             RejectReason::MergeIncompatible,
             format!("snapshot does not merge with the collector prototype: {e}"),

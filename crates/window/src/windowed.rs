@@ -519,7 +519,7 @@ impl WindowedMonitor {
         }
         // Prototype compatibility check catches shape/rate/seed
         // divergence even when `other` only brings unpaired buckets.
-        self.prototype.clone().try_merge(&other.prototype)?;
+        self.prototype.check_merge(&other.prototype)?;
         // Stage the bucket merges on a scratch ring so a failing pair
         // cannot leave a half-merged window.
         let mut merged = self.buckets.clone();

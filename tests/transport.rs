@@ -330,6 +330,77 @@ fn corruption_and_incompatibility_increment_reasons_and_keep_serving() {
     assert_eq!(merged.samples_seen(), site.samples_seen());
 }
 
+/// A well-formed snapshot with the prototype's registrations but another
+/// builder seed (so every sketch hash differs) is a typed rejection: the
+/// handler answers, counts it, keeps serving the connection, and
+/// releases its connection gauge when the site leaves.
+#[test]
+fn foreign_seed_snapshot_is_rejected_without_killing_the_handler() {
+    let server =
+        CollectorServer::bind("127.0.0.1:0", prototype(), test_server_config()).expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let hello = Hello {
+        proto_version: TRANSPORT_PROTO_VERSION,
+        site_id: 11,
+        site_name: "reseeded-site".to_string(),
+        features: 0,
+    };
+    write_frame(&mut stream, &hello.encode_framed()).expect("hello");
+    let (_, bytes) = read_frame(&mut stream, 1 << 20).expect("hello ack");
+    assert!(HelloAck::decode_framed(&bytes).expect("decode").accepted);
+
+    let mut foreign = MonitorBuilder::with_seed(P, 4243)
+        .f0(0.05)
+        .fk(2)
+        .entropy(512)
+        .build();
+    foreign.update_batch(&[1, 2, 3, 2, 1]);
+    let push = SnapshotPush {
+        site_id: 11,
+        seq: 0,
+        snapshot: foreign.checkpoint().expect("checkpoint"),
+    };
+    write_frame(&mut stream, &push.encode_framed()).expect("send foreign");
+    let (_, bytes) = read_frame(&mut stream, 1 << 20).expect("a nack, not a dead handler");
+    let ack = SnapshotAck::decode_framed(&bytes).expect("decode nack");
+    assert_eq!(ack.status, AckStatus::Rejected);
+    assert!(ack.reason.contains("merge"), "reason: {}", ack.reason);
+
+    // The same connection still lands a good push.
+    let (site, wire) = site_monitor(&ZipfStream::new(300, 1.0).generate(20_000, 6), 17);
+    let push = SnapshotPush {
+        site_id: 11,
+        seq: 0,
+        snapshot: wire,
+    };
+    write_frame(&mut stream, &push.encode_framed()).expect("send good");
+    let (_, bytes) = read_frame(&mut stream, 1 << 20).expect("ack");
+    assert_eq!(
+        SnapshotAck::decode_framed(&bytes)
+            .expect("decode ack")
+            .status,
+        AckStatus::Accepted
+    );
+
+    drop(stream);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while server.stats().connections_active != 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "connection gauge still counts the departed site"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (merged, stats) = server.shutdown();
+    assert_eq!(stats.rejected(RejectReason::MergeIncompatible), 1);
+    assert_eq!(stats.rejected_total(), 1);
+    assert_eq!(stats.snapshots_accepted, 1);
+    assert_eq!(merged.samples_seen(), site.samples_seen());
+}
+
 /// Handshake refusals: a frame stamped with a foreign wire version is
 /// refused with a typed counter bump, and so is a well-formed hello
 /// speaking a foreign *transport* protocol version.
