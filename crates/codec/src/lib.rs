@@ -33,7 +33,9 @@
 //!   rejected, so every value has exactly one wire image,
 //! * **frame-of-reference bit packing** ([`put_packed_u64s`] /
 //!   [`Reader::packed_u64s`]) for counter grids: `min` plus a fixed bit
-//!   width sized to `max − min`, then a little-endian bit stream,
+//!   width sized to `max − min`, then a little-endian bit stream (the
+//!   kernels move it a 64-bit word at a time; the bytes are those of a
+//!   byte-at-a-time packer),
 //! * **sorted-delta packing** ([`put_packed_sorted_u64s`]) for the
 //!   strictly-increasing key columns of counter maps: first key, then
 //!   FoR-packed gaps.
@@ -423,6 +425,12 @@ impl<'a> Reader<'a> {
     /// ⌈len·width/8⌉ packed bytes`. Length, width and every
     /// reconstructed value are validated; a corrupt length cannot
     /// allocate beyond [`PACKED_MAX_RUN`] elements.
+    ///
+    /// Each value is cut from the 16-byte little-endian window that
+    /// starts at its first byte: a value of at most 64 bits starting at
+    /// bit offset ≤ 7 always lies inside it. Near the end of the stream,
+    /// where fewer than 16 bytes remain, the window is filled byte by
+    /// byte and padded with zero bits.
     pub fn packed_u64s(&mut self) -> Result<Vec<u64>, CodecError> {
         let len = self.varint_u64()?;
         if len == 0 {
@@ -455,25 +463,22 @@ impl<'a> Reader<'a> {
         } else {
             (1u64 << width) - 1
         };
-        let mut acc: u128 = 0;
-        let mut nbits: u32 = 0;
-        let mut di = 0usize;
+        // The current value starts at bit `shift` of byte `at`.
+        let (mut at, mut shift) = (0usize, 0u32);
         for _ in 0..len {
-            while nbits < width {
-                let b = *data.get(di).ok_or(CodecError::Invalid {
-                    what: "packed slice bit stream underrun",
-                })?;
-                acc |= (b as u128) << nbits;
-                di += 1;
-                nbits += 8;
-            }
-            let delta = (acc as u64) & mask;
-            acc >>= width;
-            nbits -= width;
+            let rest = data.get(at..).unwrap_or_default();
+            let window = match rest.first_chunk::<16>() {
+                Some(w) => u128::from_le_bytes(*w),
+                None => tail_window(rest),
+            };
+            let delta = (window >> shift) as u64 & mask;
             let v = min.checked_add(delta).ok_or(CodecError::Invalid {
                 what: "packed slice value overflows u64",
             })?;
             out.push(v);
+            let end = shift + width;
+            at += (end / 8) as usize;
+            shift = end % 8;
         }
         Ok(out)
     }
@@ -532,6 +537,16 @@ impl<'a> Reader<'a> {
         }
         Ok(out)
     }
+}
+
+/// The little-endian window over the last bytes of a packed bit
+/// stream, where fewer than 16 remain: the missing bytes read as zero.
+fn tail_window(rest: &[u8]) -> u128 {
+    let mut w = [0u8; 16];
+    for (dst, &src) in w.iter_mut().zip(rest) {
+        *dst = src;
+    }
+    u128::from_le_bytes(w)
 }
 
 /// Hard cap on the element count a packed slice may claim (the width-0
@@ -593,6 +608,12 @@ fn bits_for(x: u64) -> u32 {
 /// with `width = bits(max − min)`. Deterministic (minimal width), so
 /// encode∘decode is the byte identity. An all-equal slice (width 0)
 /// costs a handful of bytes regardless of length.
+///
+/// The packed bytes are one little-endian bit stream: value `i − min`
+/// occupies bits `[i·width, (i+1)·width)`, and the last byte is padded
+/// with zero bits. The writer fills a 64-bit accumulator and flushes it
+/// as 8 bytes each time it is full, then the final `⌈bits/8⌉` bytes; a
+/// byte-at-a-time writer emits the same bytes.
 pub fn put_packed_u64s(out: &mut Vec<u8>, vals: &[u64]) {
     put_varint_u64(out, vals.len() as u64);
     if vals.is_empty() {
@@ -611,19 +632,24 @@ pub fn put_packed_u64s(out: &mut Vec<u8>, vals: &[u64]) {
         return;
     }
     out.reserve(((vals.len() as u128 * width as u128).div_ceil(8)) as usize);
-    let mut acc: u128 = 0;
+    // `acc` holds the `nbits < 64` pending low bits of the stream.
+    let mut acc: u64 = 0;
     let mut nbits: u32 = 0;
     for &v in vals {
-        acc |= ((v - min) as u128) << nbits;
+        let d = v - min;
+        acc |= d << nbits;
         nbits += width;
-        while nbits >= 8 {
-            out.push(acc as u8);
-            acc >>= 8;
-            nbits -= 8;
+        if nbits >= 64 {
+            out.extend_from_slice(&acc.to_le_bytes());
+            nbits -= 64;
+            // The top `nbits` bits of `d` did not fit; shifting in two
+            // steps keeps the amount below 64 when none are left.
+            acc = (d >> 1) >> (width - 1 - nbits);
         }
     }
-    if nbits > 0 {
+    for _ in 0..nbits.div_ceil(8) {
         out.push(acc as u8);
+        acc >>= 8;
     }
 }
 
@@ -1350,6 +1376,140 @@ mod tests {
         let mut r = Reader::new(&out);
         assert_eq!(r.varint_u64s().unwrap(), vals);
         r.expect_empty().unwrap();
+    }
+
+    /// The byte-at-a-time writer the word-wide [`put_packed_u64s`]
+    /// replaced, kept as the reference for its bytes.
+    fn reference_put_packed_u64s(out: &mut Vec<u8>, vals: &[u64]) {
+        put_varint_u64(out, vals.len() as u64);
+        if vals.is_empty() {
+            return;
+        }
+        let min = *vals.iter().min().unwrap();
+        let max = *vals.iter().max().unwrap();
+        let width = bits_for(max - min);
+        put_varint_u64(out, min);
+        out.push(width as u8);
+        if width == 0 {
+            return;
+        }
+        let mut acc: u128 = 0;
+        let mut nbits: u32 = 0;
+        for &v in vals {
+            acc |= ((v - min) as u128) << nbits;
+            nbits += width;
+            while nbits >= 8 {
+                out.push(acc as u8);
+                acc >>= 8;
+                nbits -= 8;
+            }
+        }
+        if nbits > 0 {
+            out.push(acc as u8);
+        }
+    }
+
+    /// The byte-at-a-time reader the windowed [`Reader::packed_u64s`]
+    /// replaced, kept as the reference for its values and errors.
+    fn reference_packed_u64s(r: &mut Reader) -> Result<Vec<u64>, CodecError> {
+        let len = r.varint_u64()?;
+        if len == 0 {
+            return Ok(Vec::new());
+        }
+        let min = r.varint_u64()?;
+        let width = r.u8()? as u32;
+        if width > 64 {
+            return Err(CodecError::Invalid {
+                what: "packed slice bit width above 64",
+            });
+        }
+        if len > PACKED_MAX_RUN {
+            return Err(CodecError::Invalid {
+                what: "packed slice length above the decode cap",
+            });
+        }
+        let len = len as usize;
+        let data = r.take(((len as u128 * width as u128).div_ceil(8)) as usize)?;
+        if width == 0 {
+            return Ok(vec![min; len]);
+        }
+        let mask = if width == 64 {
+            u64::MAX
+        } else {
+            (1u64 << width) - 1
+        };
+        let mut out = Vec::with_capacity(len);
+        let mut acc: u128 = 0;
+        let mut nbits: u32 = 0;
+        let mut di = 0usize;
+        for _ in 0..len {
+            while nbits < width {
+                acc |= (data[di] as u128) << nbits;
+                di += 1;
+                nbits += 8;
+            }
+            let delta = (acc as u64) & mask;
+            acc >>= width;
+            nbits -= width;
+            out.push(min.checked_add(delta).ok_or(CodecError::Invalid {
+                what: "packed slice value overflows u64",
+            })?);
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn word_wide_packed_kernels_match_the_byte_wise_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for width in 0..=64u32 {
+            let mask = if width == 64 {
+                u64::MAX
+            } else {
+                (1u64 << width) - 1
+            };
+            let base = if width == 64 { 0 } else { next() >> width };
+            for len in 0..=130usize {
+                let mut vals: Vec<u64> = (0..len).map(|_| base + (next() & mask)).collect();
+                // Pin the span so the slice packs at exactly `width`.
+                if len >= 2 {
+                    vals[0] = base;
+                    vals[len - 1] = base + mask;
+                }
+                let mut got = Vec::new();
+                put_packed_u64s(&mut got, &vals);
+                let mut want = Vec::new();
+                reference_put_packed_u64s(&mut want, &vals);
+                assert_eq!(got, want, "width {width}, len {len}: bytes");
+                for cut in 0..=got.len() {
+                    let bytes = &got[..cut];
+                    let new = Reader::new(bytes).packed_u64s();
+                    let old = reference_packed_u64s(&mut Reader::new(bytes));
+                    assert_eq!(new, old, "width {width}, len {len}, cut {cut}");
+                    if cut == got.len() {
+                        assert_eq!(new.as_ref(), Ok(&vals));
+                    }
+                }
+            }
+        }
+        // Corrupt data bytes: same values, or the same overflow error.
+        for _ in 0..2000 {
+            let len = 1 + next() % 40;
+            let width = (next() % 65) as u8;
+            let mut buf = Vec::new();
+            put_varint_u64(&mut buf, len);
+            put_varint_u64(&mut buf, next() >> (next() % 64));
+            buf.push(width);
+            buf.extend((0..(len * width as u64).div_ceil(8)).map(|_| next() as u8));
+            let new = Reader::new(&buf).packed_u64s();
+            let old = reference_packed_u64s(&mut Reader::new(&buf));
+            assert_eq!(new, old, "corrupt buffer {buf:02x?}");
+        }
     }
 
     #[test]

@@ -232,6 +232,7 @@ impl WireCodec for AdaptiveF2Estimator {
             v
         };
         let mut weighted = fp_hash_map();
+        weighted.reserve(rows.len());
         for (item, w) in rows {
             if w.is_nan() || w <= 0.0 || weighted.insert(item, w).is_some() {
                 return Err(CodecError::Invalid {

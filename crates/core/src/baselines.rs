@@ -423,6 +423,7 @@ impl WireCodec for NaiveScaledFk {
             rows = v;
         }
         let mut freqs = fp_hash_map();
+        freqs.reserve(rows.len());
         for (item, g) in rows {
             if g == 0 || freqs.insert(item, g).is_some() {
                 return Err(CodecError::Invalid {

@@ -11,6 +11,8 @@
 //!   `Õ(p⁻¹m^{1−2/k})` space; adds the sketching error (events `E²_ℓ`,
 //!   Lemmas 6–7).
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 
 use sss_codec::{
@@ -62,15 +64,197 @@ pub trait CollisionOracle {
     fn space_words(&self) -> usize;
 }
 
-/// Exact collision counting via a frequency map, maintained incrementally:
-/// when an item's count rises from `g` to `g+1`, `C_ℓ` grows by
-/// `binom(g, ℓ−1)` — `O(k)` work per update.
+/// Exact collision counting via a frequency table, maintained
+/// incrementally: when an item's count rises from `g` to `g+1`, `C_ℓ`
+/// grows by `binom(g, ℓ−1)` — `O(k)` work per update.
+///
+/// The table holds one of two forms; no caller can tell which:
+///
+/// * **a hash map** while the oracle ingests. [`ExactCollisions::new`]
+///   starts with an empty one, and every update runs against it;
+/// * **strictly increasing `(item, count)` rows**, the form
+///   [`decode`](WireCodec::decode) validates and keeps as it is. A
+///   restored snapshot is typically only merged, encoded or queried,
+///   and rows do all three at memory speed: rows merge into rows (or
+///   into an empty oracle) by a linear merge-join that yields rows
+///   again, encode without a sort, and answer
+///   [`freq`](ExactCollisions::freq) by binary search.
+///
+/// The first update after a decode converts the rows into a pre-sized
+/// map, once per batch. Merging rows into a map walks the rows; merging
+/// a map into rows converts them to a map first. A map encodes after
+/// one LSD radix sort of its rows by item. Every merge path applies the
+/// shared items' patches in ascending item order, so `C_ℓ` comes out
+/// bitwise the same whichever forms meet.
 #[derive(Debug, Clone)]
 pub struct ExactCollisions {
-    freqs: FpHashMap<u64, u64>,
+    freqs: Freqs,
     /// `c[ℓ]` holds `C_ℓ`; index 0 unused, `c[1] = n`.
     c: Vec<f64>,
     n: u64,
+}
+
+/// The frequency table of [`ExactCollisions`]; every count is ≥ 1.
+#[derive(Debug, Clone)]
+enum Freqs {
+    /// The form an oracle ingests into.
+    Map(FpHashMap<u64, u64>),
+    /// Strictly increasing by item: what `decode` validates and what a
+    /// merge-join produces.
+    Rows(Vec<(u64, u64)>),
+}
+
+impl Freqs {
+    fn len(&self) -> usize {
+        match self {
+            Freqs::Map(map) => map.len(),
+            Freqs::Rows(rows) => rows.len(),
+        }
+    }
+
+    fn get(&self, x: u64) -> u64 {
+        match self {
+            Freqs::Map(map) => map.get(&x).copied().unwrap_or(0),
+            Freqs::Rows(rows) => rows
+                .binary_search_by_key(&x, |&(item, _)| item)
+                .map_or(0, |at| rows[at].1),
+        }
+    }
+
+    /// The map form, converting rows into a pre-sized map first.
+    fn map_mut(&mut self) -> &mut FpHashMap<u64, u64> {
+        if let Freqs::Rows(rows) = self {
+            let mut map = fp_hash_map();
+            map.reserve(rows.len());
+            map.extend(rows.iter().copied());
+            *self = Freqs::Map(map);
+        }
+        match self {
+            Freqs::Map(map) => map,
+            Freqs::Rows(_) => unreachable!("rows were converted above"),
+        }
+    }
+
+    /// The rows in ascending item order: borrowed from the rows form,
+    /// radix-sorted out of the map form.
+    fn sorted_rows(&self) -> Cow<'_, [(u64, u64)]> {
+        match self {
+            Freqs::Rows(rows) => Cow::Borrowed(rows),
+            Freqs::Map(map) => {
+                let mut rows: Vec<(u64, u64)> = map.iter().map(|(&i, &g)| (i, g)).collect();
+                sort_rows_by_item(&mut rows);
+                Cow::Owned(rows)
+            }
+        }
+    }
+}
+
+/// Sort `rows` by item with one LSD radix pass per byte position,
+/// skipping each position whose byte all items share (item ids below
+/// 2²⁰ need three passes, not eight). Items are unique, so the order
+/// equals `rows.sort_unstable()`.
+fn sort_rows_by_item(rows: &mut Vec<(u64, u64)>) {
+    let Some(&(first, _)) = rows.first() else {
+        return;
+    };
+    let differ = rows.iter().fold(0, |acc, &(item, _)| acc | (item ^ first));
+    let mut scratch = vec![(0u64, 0u64); rows.len()];
+    for shift in (0..64).step_by(8).filter(|&s| (differ >> s) as u8 != 0) {
+        let mut next = [0usize; 256];
+        for &(item, _) in rows.iter() {
+            next[(item >> shift) as u8 as usize] += 1;
+        }
+        let mut at = 0;
+        for slot in next.iter_mut() {
+            (*slot, at) = (at, at + *slot);
+        }
+        // Each pass is a permutation, so it overwrites all of `scratch`.
+        for &row in rows.iter() {
+            let b = (row.0 >> shift) as u8 as usize;
+            scratch[next[b]] = row;
+            next[b] += 1;
+        }
+        std::mem::swap(rows, &mut scratch);
+    }
+}
+
+/// Add to each `C_ℓ`, `ℓ ≥ 2`, what merging gives an item seen `a`
+/// times on one side and `b` on the other:
+/// `binom(a+b, ℓ) − binom(a, ℓ) − binom(b, ℓ)`.
+fn patch_shared(c: &mut [f64], a: u64, b: u64) {
+    for ell in 2..c.len() as u32 {
+        c[ell as usize] += binom_f64(a + b, ell) - binom_f64(a, ell) - binom_f64(b, ell);
+    }
+}
+
+/// Linear merge-join of two strictly increasing row lists: shared items
+/// add their counts and patch `c`, in ascending item order.
+fn merge_join(mine: &[(u64, u64)], theirs: &[(u64, u64)], c: &mut [f64]) -> Vec<(u64, u64)> {
+    let mut out = Vec::with_capacity(mine.len() + theirs.len());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&(x, a)), Some(&(y, b))) = (mine.get(i), theirs.get(j)) {
+        match x.cmp(&y) {
+            Ordering::Less => {
+                out.push((x, a));
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push((y, b));
+                j += 1;
+            }
+            Ordering::Equal => {
+                patch_shared(c, a, b);
+                out.push((x, a + b));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&mine[i..]);
+    out.extend_from_slice(&theirs[j..]);
+    out
+}
+
+/// Insert-or-add each `(item, b)` row into `map`; returns the items it
+/// already held as `(item, a, b)`, in the order met.
+fn add_into(
+    map: &mut FpHashMap<u64, u64>,
+    rows: impl Iterator<Item = (u64, u64)>,
+) -> Vec<(u64, u64, u64)> {
+    let mut shared = Vec::new();
+    for (item, b) in rows {
+        match map.entry(item) {
+            Entry::Occupied(mut e) => {
+                let a = *e.get();
+                shared.push((item, a, b));
+                *e.get_mut() = a + b;
+            }
+            Entry::Vacant(e) => {
+                e.insert(b);
+            }
+        }
+    }
+    shared
+}
+
+/// Count one occurrence of `x` into the map and the accumulators `c`.
+#[inline]
+fn record(freqs: &mut FpHashMap<u64, u64>, c: &mut [f64], x: u64) {
+    let g = freqs.entry(x).or_insert(0);
+    let old = *g;
+    *g += 1;
+    // ΔC_ℓ = binom(old, ℓ−1); running product avoids recomputation:
+    // binom(old, 0) = 1, binom(old, j) = binom(old, j−1)·(old−j+1)/j.
+    let mut binom = 1.0f64;
+    c[1] += 1.0;
+    for ell in 2..c.len() as u32 {
+        let j = (ell - 1) as u64;
+        if old < j {
+            break; // all higher binomials are zero
+        }
+        binom *= (old - (j - 1)) as f64 / j as f64;
+        c[ell as usize] += binom;
+    }
 }
 
 impl ExactCollisions {
@@ -78,7 +262,7 @@ impl ExactCollisions {
     pub fn new(k: u32) -> Self {
         assert!(k >= 1, "need k >= 1");
         Self {
-            freqs: fp_hash_map(),
+            freqs: Freqs::Map(fp_hash_map()),
             c: vec![0.0; k as usize + 1],
             n: 0,
         }
@@ -86,7 +270,7 @@ impl ExactCollisions {
 
     /// The exact frequency of `x` in the ingested stream.
     pub fn freq(&self, x: u64) -> u64 {
-        self.freqs.get(&x).copied().unwrap_or(0)
+        self.freqs.get(x)
     }
 
     /// Number of distinct ingested items.
@@ -110,22 +294,16 @@ fn binom_f64(f: u64, l: u32) -> f64 {
 
 impl CollisionOracle for ExactCollisions {
     fn update(&mut self, x: u64) {
-        let g = self.freqs.entry(x).or_insert(0);
-        let old = *g;
-        *g += 1;
+        record(self.freqs.map_mut(), &mut self.c, x);
         self.n += 1;
-        // ΔC_ℓ = binom(old, ℓ−1); running product avoids recomputation:
-        // binom(old, 0) = 1, binom(old, j) = binom(old, j−1)·(old−j+1)/j.
-        let mut binom = 1.0f64;
-        self.c[1] += 1.0;
-        for ell in 2..self.c.len() as u32 {
-            let j = (ell - 1) as u64;
-            if old < j {
-                break; // all higher binomials are zero
-            }
-            binom *= (old - (j - 1)) as f64 / j as f64;
-            self.c[ell as usize] += binom;
+    }
+
+    fn update_batch(&mut self, xs: &[u64]) {
+        let freqs = self.freqs.map_mut();
+        for &x in xs {
+            record(freqs, &mut self.c, x);
         }
+        self.n += xs.len() as u64;
     }
 
     fn check_merge(&self, other: &Self) -> Result<(), String> {
@@ -136,44 +314,48 @@ impl CollisionOracle for ExactCollisions {
         Ok(())
     }
 
-    /// Merge in one pass over `other`'s map: insert each item absent from
-    /// `self` (`a = 0`, counts are never 0) and add into each present one,
-    /// recording the present ones. Only those shared items change the
-    /// collision counts beyond the sum of both accumulators, by the
-    /// closed form `ΔC_ℓ = binom(a+b, ℓ) − binom(a, ℓ) − binom(b, ℓ)`;
-    /// the patches apply in ascending item order so the float
-    /// accumulation is canonical: merging a deserialized oracle (same
-    /// contents, different hash-map history) lands on bitwise the same
-    /// `C_ℓ` as merging the original.
+    /// Merge in one pass over `other`'s table. Only items present on
+    /// both sides change the collision counts beyond the sum of both
+    /// accumulators, by the closed form
+    /// `ΔC_ℓ = binom(a+b, ℓ) − binom(a, ℓ) − binom(b, ℓ)`; the patches
+    /// apply in ascending item order so the float accumulation is
+    /// canonical: merging a deserialized oracle (same contents, another
+    /// form or hash-map history) lands on bitwise the same `C_ℓ` as
+    /// merging the original.
+    ///
+    /// Rows merge into rows, or into an empty oracle, by a merge-join
+    /// and stay rows. Otherwise `self` takes the map form and `other`'s
+    /// table is walked once: each item absent from `self` is inserted
+    /// (counts are never 0), each present one added into.
     fn merge(&mut self, other: &Self) {
         sss_sketch::assert_mergeable(self.check_merge(other));
         let k = self.max_order();
         for ell in 1..=k as usize {
             self.c[ell] += other.c[ell];
         }
-        self.freqs.reserve(other.freqs.len());
-        let mut shared: Vec<(u64, u64, u64)> = Vec::new();
-        // sss-lint: allow(canonical_iteration) — insert-or-add of u64 counts commutes, so the merged map is order independent; the only order-sensitive effect, the float patches, runs sorted below
-        for (&item, &b) in &other.freqs {
-            match self.freqs.entry(item) {
-                Entry::Occupied(mut e) => {
-                    let a = *e.get();
-                    shared.push((item, a, b));
-                    *e.get_mut() = a + b;
-                }
-                Entry::Vacant(e) => {
-                    e.insert(b);
-                }
-            }
-        }
-        shared.sort_unstable_by_key(|&(item, _, _)| item);
-        for (_, a, b) in shared {
-            for ell in 2..=k {
-                self.c[ell as usize] +=
-                    binom_f64(a + b, ell) - binom_f64(a, ell) - binom_f64(b, ell);
-            }
-        }
         self.n += other.n;
+        match (&mut self.freqs, &other.freqs) {
+            (Freqs::Rows(mine), Freqs::Rows(theirs)) => {
+                *mine = merge_join(mine, theirs, &mut self.c);
+            }
+            (mine, Freqs::Rows(theirs)) if mine.len() == 0 => {
+                *mine = Freqs::Rows(theirs.clone());
+            }
+            (mine, theirs) => {
+                let mine = mine.map_mut();
+                mine.reserve(theirs.len());
+                let mut shared = match theirs {
+                    Freqs::Map(map) => add_into(mine, map.iter().map(|(&i, &g)| (i, g))),
+                    Freqs::Rows(rows) => add_into(mine, rows.iter().copied()),
+                };
+                // Insert-or-add of u64 counts commutes; only the float
+                // patches depend on order.
+                shared.sort_unstable_by_key(|&(item, _, _)| item);
+                for (_, a, b) in shared {
+                    patch_shared(&mut self.c, a, b);
+                }
+            }
+        }
     }
 
     fn n(&self) -> u64 {
@@ -201,17 +383,19 @@ impl WireCodec for ExactCollisions {
     const WIRE_TAG: u16 = 0x040B;
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        // v2 layout: the frequency map — the O(F_0(L)) bulk of Algorithm
-        // 1's state — ships columnar: sorted-delta item ids + FoR-packed
-        // sampled counts. The collision accumulators stay raw f64.
+        // v2 layout: the frequency table — the O(F_0(L)) bulk of
+        // Algorithm 1's state — ships columnar: sorted-delta item ids +
+        // varint sampled counts. The collision accumulators stay raw f64.
         self.c.encode_into(out);
         put_varint_u64(out, self.n);
-        let mut rows: Vec<(u64, u64)> = self.freqs.iter().map(|(&i, &g)| (i, g)).collect();
-        rows.sort_unstable();
+        let rows = self.freqs.sorted_rows();
         put_packed_sorted_u64s(out, &rows.iter().map(|&(i, _)| i).collect::<Vec<_>>());
         put_varint_u64s(out, &rows.iter().map(|&(_, g)| g).collect::<Vec<_>>());
     }
 
+    /// Validates the rows (every count ≥ 1, items strictly increasing,
+    /// counts summing to `n`) and keeps them as the rows form. Version-1
+    /// rows are sorted first; a repeated item fails as unordered.
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
         let c: Vec<f64> = Vec::decode(r)?;
         if c.len() < 2 {
@@ -237,16 +421,18 @@ impl WireCodec for ExactCollisions {
             for _ in 0..len {
                 v.push((r.u64()?, r.u64()?));
             }
+            v.sort_unstable();
             rows = v;
         }
-        let mut freqs = fp_hash_map();
         let mut total: u64 = 0;
-        for (item, g) in rows {
-            if g == 0 || freqs.insert(item, g).is_some() {
+        let mut prev: Option<u64> = None;
+        for &(item, g) in &rows {
+            if g == 0 || prev.is_some_and(|p| p >= item) {
                 return Err(CodecError::Invalid {
                     what: "ExactCollisions frequency row invalid",
                 });
             }
+            prev = Some(item);
             total = total.checked_add(g).ok_or(CodecError::Invalid {
                 what: "ExactCollisions frequencies overflow u64",
             })?;
@@ -256,7 +442,11 @@ impl WireCodec for ExactCollisions {
                 what: "ExactCollisions frequencies do not sum to n",
             });
         }
-        Ok(ExactCollisions { freqs, c, n })
+        Ok(ExactCollisions {
+            freqs: Freqs::Rows(rows),
+            c,
+            n,
+        })
     }
 }
 
@@ -355,7 +545,7 @@ impl WireCodec for LevelSetCollisions {
 mod tests {
     use super::*;
     use sss_stream::exact::binom_u128;
-    use sss_stream::ExactStats;
+    use sss_stream::{BernoulliSampler, ExactStats, StreamGen, ZipfStream};
 
     #[test]
     fn incremental_matches_batch_formula() {
@@ -498,9 +688,7 @@ mod tests {
         for ell in 1..=k as usize {
             a.c[ell] += other.c[ell];
         }
-        let mut rows: Vec<(u64, u64)> = other.freqs.iter().map(|(&i, &g)| (i, g)).collect();
-        rows.sort_unstable();
-        for (item, g) in rows {
+        for (item, g) in sorted_rows(other) {
             let f = a.freq(item);
             if f > 0 {
                 for ell in 2..=k {
@@ -508,13 +696,17 @@ mod tests {
                         binom_f64(f + g, ell) - binom_f64(f, ell) - binom_f64(g, ell);
                 }
             }
-            a.freqs.insert(item, f + g);
+            a.freqs.map_mut().insert(item, f + g);
         }
         a.n += other.n;
     }
 
+    /// The rows of either form, comparison-sorted.
     fn sorted_rows(o: &ExactCollisions) -> Vec<(u64, u64)> {
-        let mut rows: Vec<(u64, u64)> = o.freqs.iter().map(|(&i, &g)| (i, g)).collect();
+        let mut rows: Vec<(u64, u64)> = match &o.freqs {
+            Freqs::Map(map) => map.iter().map(|(&i, &g)| (i, g)).collect(),
+            Freqs::Rows(rows) => rows.clone(),
+        };
         rows.sort_unstable();
         rows
     }
@@ -538,7 +730,7 @@ mod tests {
         let mut o = ExactCollisions::new(k);
         for i in first..first + distinct {
             let g = 1 + (i * i % 9973) * 10_007;
-            o.freqs.insert(sss_hash::fingerprint64(i), g);
+            o.freqs.map_mut().insert(sss_hash::fingerprint64(i), g);
             for ell in 1..=k {
                 o.c[ell as usize] += binom_f64(g, ell);
             }
@@ -573,6 +765,152 @@ mod tests {
             let mut got = a.clone();
             got.merge(&b_copy);
             assert_bitwise_eq(&got, &want, case);
+        }
+    }
+
+    /// Two oracles ingesting halves of one Bernoulli-sampled Zipf
+    /// stream: realistic overlap between the sides, many small counts.
+    fn sampled_zipf_halves(k: u32) -> (ExactCollisions, ExactCollisions, Vec<u64>) {
+        let stream = ZipfStream::new(20_000, 1.1).generate(200_000, 5);
+        let sampled = BernoulliSampler::new(0.5, 9).sample_to_vec(&stream);
+        let (left, right) = sampled.split_at(sampled.len() / 2);
+        let mut a = ExactCollisions::new(k);
+        a.update_batch(left);
+        let mut b = ExactCollisions::new(k);
+        b.update_batch(right);
+        (a, b, right.to_vec())
+    }
+
+    /// The representation battery's fixtures: `(name, left, right)`,
+    /// both sides in the map form.
+    fn battery() -> Vec<(&'static str, ExactCollisions, ExactCollisions)> {
+        let (za, zb, _) = sampled_zipf_halves(3);
+        vec![
+            (
+                "skewed disjoint",
+                skewed(3, 0, 2000),
+                skewed(3, 10_000, 1500),
+            ),
+            (
+                "skewed overlapping",
+                skewed(3, 0, 2000),
+                skewed(3, 1000, 2500),
+            ),
+            ("skewed k = 2", skewed(2, 0, 2000), skewed(2, 500, 2000)),
+            ("skewed k = 4", skewed(4, 0, 2000), skewed(4, 500, 2000)),
+            ("sampled zipf", za, zb),
+        ]
+    }
+
+    fn rows_form(o: &ExactCollisions) -> ExactCollisions {
+        let rows = ExactCollisions::decode_framed(&o.encode_framed()).expect("round trip");
+        assert!(matches!(rows.freqs, Freqs::Rows(_)), "decode keeps rows");
+        rows
+    }
+
+    fn map_form(o: &ExactCollisions) -> ExactCollisions {
+        let mut map = o.clone();
+        map.freqs.map_mut();
+        map
+    }
+
+    #[test]
+    fn table_forms_encode_and_answer_alike() {
+        for (case, map, _) in battery() {
+            assert!(
+                matches!(map.freqs, Freqs::Map(_)),
+                "{case}: ingest builds a map"
+            );
+            let rows = rows_form(&map);
+            let back = map_form(&rows);
+            let bytes = map.encode_framed();
+            assert_eq!(rows.encode_framed(), bytes, "{case}: rows encode");
+            assert_eq!(back.encode_framed(), bytes, "{case}: rows → map encode");
+            let probes = sorted_rows(&map)
+                .into_iter()
+                .flat_map(|(item, _)| [item, item.wrapping_add(1)])
+                .chain([0, u64::MAX]);
+            for x in probes {
+                let f = map.freq(x);
+                assert_eq!(rows.freq(x), f, "{case}: rows freq({x})");
+                assert_eq!(back.freq(x), f, "{case}: rows → map freq({x})");
+            }
+            for o in [&rows, &back] {
+                assert_eq!(o.distinct(), map.distinct(), "{case}: distinct");
+                assert_eq!(o.space_words(), map.space_words(), "{case}: space_words");
+            }
+        }
+    }
+
+    #[test]
+    fn every_form_pairing_merges_bitwise_like_the_reference() {
+        for (case, a, b) in battery() {
+            let k = a.max_order();
+            let forms = |o: &ExactCollisions| {
+                [
+                    ("map", o.clone()),
+                    ("rows", rows_form(o)),
+                    ("empty", ExactCollisions::new(k)),
+                ]
+            };
+            for (mine, left) in forms(&a) {
+                for (theirs, right) in forms(&b) {
+                    let mut want = map_form(&left);
+                    reference_merge(&mut want, &right);
+                    let mut got = left.clone();
+                    got.merge(&right);
+                    let pairing = format!("{case}: {mine} ← {theirs}");
+                    assert_bitwise_eq(&got, &want, &pairing);
+                    assert_eq!(got.distinct(), want.distinct(), "{pairing}: distinct");
+                    assert_eq!(got.space_words(), want.space_words(), "{pairing}: space");
+                    assert_eq!(got.encode(), want.encode(), "{pairing}: encode");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ingest_after_restore_matches_the_never_serialized_run() {
+        let (mut live, _, rest) = sampled_zipf_halves(3);
+        let mut batched = rows_form(&live);
+        let mut single = rows_form(&live);
+        let mut merged = ExactCollisions::new(3);
+        merged.merge(&rows_form(&live));
+        live.update_batch(&rest);
+        batched.update_batch(&rest);
+        for &x in &rest {
+            single.update(x);
+        }
+        merged.update_batch(&rest);
+        for (name, o) in [
+            ("batch", &batched),
+            ("single", &single),
+            ("merged", &merged),
+        ] {
+            assert_bitwise_eq(o, &live, name);
+            assert_eq!(o.encode(), live.encode(), "{name}: encode");
+        }
+    }
+
+    #[test]
+    fn radix_sort_matches_the_comparison_sort() {
+        let cases: [Vec<u64>; 5] = [
+            vec![],
+            vec![7],
+            (0..3000u64).map(sss_hash::fingerprint64).collect(),
+            // Only the low bytes vary: the constant positions are skipped.
+            (0..3000u64)
+                .rev()
+                .map(|i| (0xAB << 56) | (i * 37 % 4099))
+                .collect(),
+            vec![u64::MAX, 0, 1 << 63, 255, 256, (1 << 63) - 1],
+        ];
+        for items in cases {
+            let mut rows: Vec<(u64, u64)> = items.iter().map(|&i| (i, i ^ 5)).collect();
+            let mut want = rows.clone();
+            want.sort_unstable();
+            sort_rows_by_item(&mut rows);
+            assert_eq!(rows, want);
         }
     }
 

@@ -659,6 +659,7 @@ impl WireCodec for SuffixReservoir {
             due_entries.push(Reverse((pos, idx)));
         }
         let mut tracker: FpHashMap<u64, u64> = fp_hash_map();
+        tracker.reserve(tracker_rows.len());
         for (item, count) in tracker_rows {
             if count == 0 || tracker.insert(item, count).is_some() {
                 return Err(CodecError::Invalid {
@@ -667,6 +668,7 @@ impl WireCodec for SuffixReservoir {
             }
         }
         let mut holders: FpHashMap<u64, u32> = fp_hash_map();
+        holders.reserve(holder_rows.len());
         for (item, h) in holder_rows {
             if h == 0 || !tracker.contains_key(&item) || holders.insert(item, h).is_some() {
                 return Err(CodecError::Invalid {

@@ -166,6 +166,7 @@ impl WireCodec for MisraGries {
             });
         }
         let mut counters = fp_hash_map();
+        counters.reserve(items.len());
         for (item, count) in items.into_iter().zip(counts) {
             if count == 0 {
                 return Err(CodecError::Invalid {

@@ -202,6 +202,7 @@ impl WireCodec for SpaceSaving {
             });
         }
         let mut table = fp_hash_map();
+        table.reserve(rows.len());
         let mut by_count = BTreeSet::new();
         for (item, count, err) in rows {
             if count == 0 || err >= count {

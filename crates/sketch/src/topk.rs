@@ -547,6 +547,7 @@ impl WireCodec for TopKTracker {
             });
         }
         let mut est = fp_hash_map();
+        est.reserve(items.len());
         for (item, e) in items.into_iter().zip(ests) {
             if est.insert(item, e).is_some() {
                 return Err(CodecError::Invalid {

@@ -293,7 +293,9 @@ struct SiteState {
     /// milliseconds (see [`SiteTransportStats::since_last_seen`] for
     /// the restart semantics).
     last_seen_ms: Arc<AtomicU64>,
-    latest: Option<Monitor>,
+    /// `Arc` so [`CollectorServer::merged`] can take the snapshots
+    /// under the sites lock and fold them after releasing it.
+    latest: Option<Arc<Monitor>>,
     /// The framed checkpoint bytes behind `latest` — the base the next
     /// delta push from this site is applied against. `Arc` so a handler
     /// thread can diff outside the sites lock without a multi-MiB copy.
@@ -479,17 +481,22 @@ impl CollectorServer {
     /// every site's latest accepted snapshot folded in, ascending
     /// `site_id` — deterministic order, so the result is bitwise equal
     /// to an in-memory [`Monitor::try_merge`] of the same snapshots.
+    ///
+    /// The sites lock is held only to copy the `Arc`s of the latest
+    /// snapshots; the clone and the fold run after it is released, so
+    /// a query never stalls another site's push at its store step.
     pub fn merged(&self) -> Monitor {
-        let sites = self.shared.sites.lock().expect("sites lock");
+        let snaps: Vec<Arc<Monitor>> = {
+            let sites = self.shared.sites.lock().expect("sites lock");
+            sites.values().filter_map(|s| s.latest.clone()).collect()
+        };
         let mut view = self.shared.prototype.clone();
-        for site in sites.values() {
-            if let Some(snap) = &site.latest {
-                // Mergeability was proven when the snapshot was
-                // accepted; a failure here would mean the prototype
-                // changed underneath us, which it cannot.
-                if view.try_merge(snap).is_err() {
-                    self.shared.reject(RejectReason::MergeIncompatible);
-                }
+        for snap in &snaps {
+            // Mergeability was proven when the snapshot was accepted; a
+            // failure here would mean the prototype changed underneath
+            // us, which it cannot.
+            if view.try_merge(snap).is_err() {
+                self.shared.reject(RejectReason::MergeIncompatible);
             }
         }
         view
@@ -1060,7 +1067,8 @@ fn accept_snapshot(
         return duplicate_ack(shared, seq);
     }
 
-    entry.latest = Some(snap);
+    // The replaced snapshot is dropped after the lock is released.
+    let replaced = entry.latest.replace(Arc::new(snap));
     // Retain the framed bytes as the base for this site's next delta
     // push (one snapshot per site, the price of delta support).
     entry.latest_bytes = Some(Arc::new(snapshot));
@@ -1069,6 +1077,7 @@ fn accept_snapshot(
     entry.bytes_in.fetch_add(frame_bytes, Ordering::Relaxed);
     entry.touch(&shared.reg);
     drop(sites);
+    drop(replaced);
     shared.reg.inc(MetricId::TransportSnapshotsAcceptedTotal);
     shared
         .reg
